@@ -165,7 +165,7 @@ def _cmd_check(args) -> int:
             extra.append(f"debounce {spec.debounce_ms}ms")
         suffix = f" ({', '.join(extra)})" if extra else ""
         users = ", ".join(
-            f"{compiled.patterns[p].name}#{c + 1}" for p, _, c in spec.downstream
+            f"{compiled.patterns[p].name}#{cons.cons_index + 1}" for p, _, cons in spec.targets
         )
         print(f"  :{spec.type_tag.name}/{spec.arity} [{tests}]{suffix} -> {users}")
     return 0

@@ -8,6 +8,15 @@ minimum (resp. maximum) over all valid combinations.  Accumulation
 constituents contribute a greedy policy-ordered group instead of a branch
 point.  Guards see only the single policy-selected combination: a false guard
 rejects the whole cycle without consuming anything.
+
+Two optional inputs narrow the search without changing its result.  A
+``lookup`` callback returns a keyed slot's candidates whose join key equals
+the environment's, a superset of those that can unify.  A ``watermark``
+promises that no valid combination of messages with ``seq`` at or below it
+exists; on a delta alternative the same search then runs once per seed slot
+over the combinations holding a newer message, and the policy-least (or
+greatest) of their hits is the answer.  Every candidate still passes the
+same eligibility, unification, ordering and negation checks.
 """
 
 from __future__ import annotations
@@ -54,16 +63,24 @@ def evaluate_pattern(
     now: int,
     eligible,
     cycle: int = 0,
+    lookup=None,
+    watermark: int | None = None,
 ) -> EvalOutcome:
     """Attempt one match for ``cp`` at time ``now``.
 
     ``get_candidates(alt_idx, cons_index)`` yields unconsumed messages in
     (ts, seq) ascending order; ``get_blockers`` likewise for negated
     constituents.  ``eligible(msg)`` applies the retention/lifetime predicate.
+    ``lookup(alt_idx, cons_index, key)``, when given, yields a keyed slot's
+    candidates with that join key, in the same order.  ``watermark``, when
+    given with ``lookup``, restricts delta alternatives to combinations that
+    hold a message with a greater ``seq``.
     At most one match is produced (single pattern selection).
     """
     for a_idx, alt in enumerate(cp.alternatives):
-        sel = _select(cp, alt, a_idx, get_candidates, get_blockers, now, eligible)
+        sel = _select(
+            cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup, watermark
+        )
         if sel is None:
             continue
         intermediates: dict[str, Value] = {}
@@ -114,6 +131,8 @@ def _select(
     get_blockers,
     now: int,
     eligible,
+    lookup,
+    watermark: int | None,
 ) -> Selected | None:
     positives = alt.positives
     if len(positives) == 1 and not alt.negatives and not positives[0].accumulates:
@@ -129,6 +148,10 @@ def _select(
         return None
     groups: dict[int, list[Message]] = {}
     used: set[int] = set()
+    # delta search: position seed_at holds only seed, and the positions
+    # before it only messages at or below the watermark
+    seed_at = -1
+    seed: list[Message] = []
 
     def dfs(i, env, distinct, prev_key, min_ts, max_ts):
         if i == len(positives):
@@ -136,7 +159,14 @@ def _select(
                 return env, max_ts
             return None
         cons = positives[i]
-        cands = get_candidates(a_idx, cons.cons_index)
+        if i == seed_at:
+            cands = seed
+        elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
+            cands = lookup(a_idx, cons.cons_index, cons.probe_key(env))
+            if i < seed_at:
+                cands = [m for m in cands if m.seq <= watermark]
+        else:
+            cands = get_candidates(a_idx, cons.cons_index)
         if cons.accumulates:
             built = _build_group(cons, cp, cands, env, distinct, used, now, eligible)
             if built is None:
@@ -172,11 +202,42 @@ def _select(
             del groups[cons.cons_index]
         return None
 
-    hit = dfs(0, {}, {}, None, None, None)
-    if hit is None:
-        return None
-    env, max_ts = hit
-    return Selected(groups=dict(groups), env=env, max_ts=max_ts)
+    if watermark is None or lookup is None or not alt.delta:
+        hit = dfs(0, {}, {}, None, None, None)
+        if hit is None:
+            return None
+        env, max_ts = hit
+        return Selected(groups=dict(groups), env=env, max_ts=max_ts)
+
+    # Every valid combination holds a message above the watermark; the first
+    # position holding one is its seed slot j, and searching each slot's new
+    # messages as seeds finds each such combination exactly once.
+    best = best_key = None
+    for j, cons in enumerate(positives):
+        cands = get_candidates(a_idx, cons.cons_index)
+        first_new = len(cands)
+        while first_new and cands[first_new - 1].seq > watermark:
+            first_new -= 1
+        for m in cands[first_new:]:
+            if not eligible(m):
+                continue
+            env = {}
+            if j:  # the positions before the seed probe with its bindings
+                r = extend_env(cons.bind_terms, m, env, {})
+                if r is None:
+                    continue
+                env = r[0]
+            seed_at, seed = j, [m]
+            hit = dfs(0, env, {}, None, None, None)
+            if hit is None:
+                continue
+            key = tuple(groups[c.cons_index][0].seq for c in positives)
+            if best is None or (key > best_key if cp.last else key < best_key):
+                best = Selected(groups=dict(groups), env=hit[0], max_ts=hit[1])
+                best_key = key
+            groups.clear()
+            used.clear()
+    return best
 
 
 def _order_ok(cp, members, prev_key, min_ts, max_ts):

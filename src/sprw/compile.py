@@ -51,10 +51,27 @@ class CompiledConstituent:
     # age past which a buffered candidate provably cannot join any future
     # combination (pattern interval plus the tightest partner window)
     slot_bound_ms: int | None = None
+    # plain positives only: the variables shared with the alternative's other
+    # positives, as (attr index, name) per position.  Non-empty means the slot
+    # keeps a hash index on these values, so a join step can fetch just the
+    # candidates whose key agrees with the environment, not the whole buffer
+    join_key: tuple[tuple[int, str], ...] = ()
+    # the positives before this one bind the whole key, so a search in
+    # textual order can probe the index here
+    probe_in_order: bool = False
 
     @property
     def accumulates(self) -> bool:
         return self.count_n is not None or self.window_ms is not None
+
+    def message_key(self, msg) -> tuple:
+        """Index key of a buffered message."""
+        attrs = msg.attrs
+        return tuple([attrs[pos] for pos, _ in self.join_key])
+
+    def probe_key(self, env) -> tuple:
+        """Index key a join step probes with; every key variable is bound."""
+        return tuple([env[name] for _, name in self.join_key])
 
 
 @dataclass(slots=True)
@@ -62,6 +79,11 @@ class CompiledAlternative:
     constituents: list[CompiledConstituent]
     positives: list[CompiledConstituent] = field(default_factory=list)
     negatives: list[CompiledConstituent] = field(default_factory=list)
+    # nothing is negated and every positive is plain and keyed on the same
+    # variables, so any one positive binds every other's key: the engine may
+    # search only combinations that hold a message newer than its last
+    # fruitless evaluation
+    delta: bool = False
 
 
 @dataclass(slots=True)
@@ -87,7 +109,6 @@ class AlphaSpec:
     const_tests: tuple[tuple[int, Value], ...]
     every_n: int | None
     debounce_ms: int | None
-    downstream: list[tuple[int, int, int]] = field(default_factory=list)
     targets: list = field(default_factory=list)  # (pattern idx, alt idx, constituent)
 
     def passes_constants(self, attrs: tuple[Value, ...]) -> bool:
@@ -130,6 +151,7 @@ def compile_program(program: Program) -> CompiledProgram:
     patterns: list[CompiledPattern] = []
     alphas: dict[tuple, AlphaSpec] = {}
     routing: dict[str, list[tuple]] = {}
+    join_plans: dict[tuple, tuple] = {}
 
     for p_idx, past in enumerate(program.patterns):
         alternatives: list[CompiledAlternative] = []
@@ -187,6 +209,7 @@ def compile_program(program: Program) -> CompiledProgram:
                     "NoPositiveConstituent",
                     f"pattern {past.name!r} has an alternative with no positive constituent",
                 )
+            _plan_joins(alt, join_plans)
             alternatives.append(alt)
 
             for cons in constituents:
@@ -204,7 +227,6 @@ def compile_program(program: Program) -> CompiledProgram:
                     )
                     alphas[key] = spec
                     routing.setdefault(cons.selector.type_tag.name, []).append(key)
-                spec.downstream.append((p_idx, a_idx, cons.cons_index))
                 spec.targets.append((p_idx, a_idx, cons))
 
         opts: Options = past.options
@@ -245,6 +267,51 @@ def compile_program(program: Program) -> CompiledProgram:
         bindings=program.bindings,
         source=program,
     )
+
+
+def _plan_joins(alt: CompiledAlternative, plans: dict[tuple, tuple]) -> None:
+    """Set each plain positive's index key and the alternative's delta flag.
+
+    The plan depends only on the positives' variable terms, so alternatives
+    of one shape (common among refinements of a named pattern) share it."""
+    positives = alt.positives
+    if len(positives) < 2:
+        return
+    shape = (bool(alt.negatives), *[(c.bind_terms, c.accumulates) for c in positives])
+    plan = plans.get(shape)
+    if plan is None:
+        plan = plans[shape] = _join_plan(alt)
+    keys, alt.delta = plan
+    for cons, (key, probe) in zip(positives, keys):
+        cons.join_key = key
+        cons.probe_in_order = probe
+
+
+def _join_plan(alt: CompiledAlternative) -> tuple:
+    """((join_key, probe_in_order) per positive, delta) for one alternative."""
+    positives = alt.positives
+    binders: dict[str, int] = {}  # variable -> number of positives binding it
+    for cons in positives:
+        for name in {name for _, name, kind in cons.bind_terms if kind == 0}:
+            binders[name] = binders.get(name, 0) + 1
+    keys = []
+    bound: set[str] = set()  # variables bound by the positives before cons
+    for cons in positives:
+        key = () if cons.accumulates else tuple(
+            [(pos, name) for pos, name, kind in cons.bind_terms if kind == 0 and binders[name] > 1]
+        )
+        keys.append((key, bool(key) and all(name in bound for _, name in key)))
+        bound.update([name for _, name, kind in cons.bind_terms if kind == 0])
+    # a seed binds every other positive's key exactly when each shared
+    # variable is bound by every positive
+    shared = [n for n in binders.values() if n > 1]
+    delta = (
+        not alt.negatives
+        and bool(shared)
+        and all(n == len(positives) for n in shared)
+        and not any(c.accumulates for c in positives)
+    )
+    return keys, delta
 
 
 class AlphaRouter:

@@ -1,16 +1,31 @@
 """Incremental RETE-style matching engine.
 
 A :class:`Network` owns mutable match state for one actor: per-constituent
-buffers fed through shared alpha nodes, per-pattern consumed sets, and a
-timer queue realising windows, negation deadlines and match debouncing.
+buffers fed through shared alpha nodes, a hash index beside each keyed
+buffer, per-pattern consumed sets, and a timer queue realising windows,
+negation deadlines and match debouncing.
 
 Evaluation discipline: every message arrival and every group of same-due
 timers is one match-cycle; each cycle runs over all pattern nodes in
-declaration order and each pattern activates at most once per cycle.  All
-time-sensitive predicates (windows, negation clearance, retention, lifetime)
-are re-evaluated from scratch inside the shared decision procedure, so the
-incremental buffers are pure plumbing and the brute-force oracle can replay
-the exact same semantics.
+declaration order and each pattern activates at most once per cycle.  Every
+evaluation runs the decision procedure shared with the brute-force oracle
+(:mod:`sprw.combine`), which re-checks every time-sensitive predicate
+(windows, negation clearance, retention, lifetime) on every candidate it
+considers.  The engine only narrows which candidates that is:
+
+* A plain positive slot keyed on the variables it shares with the other
+  positives keeps an index from key values to its messages, in buffer order.
+  Routing appends to it, the dead-head drop trims it, and consumption and
+  gc rebuild it, so a join step fetches one bucket instead of the buffer.
+* On a delta alternative (no negation, every positive plain and keyed on the
+  same variables) a combination of buffered messages can only lose validity
+  as time passes: retention, lifetime and dead-message expiry only remove
+  candidates, and unification, ``seq`` and ``interval`` do not depend on
+  ``now``.  So once an evaluation finds no combination, the pattern's
+  watermark records the ``seq`` of the last routed message, and later
+  evaluations search only combinations holding a newer message, seeded from
+  each slot's new arrivals.  Consumption, a guard rejection, a diagnostic
+  and gc clear the watermark, and the next evaluation searches in full.
 
 A Network is single-writer: insert/advance_time/gc must be serialised by the
 owning context.  Returned results are immutable and may be shared freely.
@@ -31,6 +46,7 @@ _NEGATION_CLEAR = 1
 _DEBOUNCE_CLEAR = 2
 
 _EMPTY: list[Message] = []
+_NO_INDEX: dict = {}
 
 
 class Network:
@@ -50,12 +66,20 @@ class Network:
         self.diagnostics: list[Diagnostic] = []
         # per (pattern, alternative, constituent) message lists, (ts, seq) ascending
         self.buffers: dict[tuple[int, int, int], list[Message]] = {}
+        # per keyed slot: join key -> that slot's messages with the key, in
+        # buffer order (no empty lists)
+        self.index: dict[tuple[int, int, int], dict[tuple, list[Message]]] = {}
         self.blockers: dict[tuple[int, int, int], list[Message]] = {}
         self.consumed: list[set[int]] = [set() for _ in compiled.patterns]
         self.router = AlphaRouter(compiled)
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
         self._timers: list[tuple[int, int, int, int, tuple]] = []
         self._timer_seq = 0
+        # per pattern: seq of the last routed message at an evaluation that
+        # found no combination, or None when the next one must search in full
+        self._watermark: list[int | None] = [None] * len(compiled.patterns)
+        # per pattern: its _slot_callbacks, built on its first evaluation
+        self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
         self._versions: list[int] = [0] * len(compiled.patterns)
         self._miss_cache: list[int | None] = [None] * len(compiled.patterns)
         # patterns whose outcome can flip between state changes (finite
@@ -86,7 +110,7 @@ class Network:
         self.clock = msg.ts
         self.last_seq = msg.seq
         self._route(msg)
-        results.extend(self._eval_pass(msg.ts))
+        results.extend(self._eval_pass())
         return results
 
     def advance_time(self, now: int) -> list[MatchResult]:
@@ -112,6 +136,10 @@ class Network:
                         )
                 else:
                     self.buffers.setdefault(slot, []).append(msg)
+                    if cons.join_key:
+                        self.index.setdefault(slot, {}).setdefault(
+                            cons.message_key(msg), []
+                        ).append(msg)
                     if cons.window_ms is not None:
                         self._schedule(
                             msg.ts + cons.window_ms, p_idx, _WINDOW_EXPIRY, (a_idx, cons.cons_index)
@@ -156,12 +184,14 @@ class Network:
                     self._versions[p_idx] += 1
             self.clock = due
             if changed or not self._clean:
-                results.extend(self._eval_pass(due))
+                results.extend(self._eval_pass())
             elif self._always_eval:
-                results.extend(self._eval_pass(due, self._always_eval))
+                results.extend(self._eval_pass(self._always_eval))
         return results
 
-    def _eval_pass(self, now: int, restrict=None) -> list[MatchResult]:
+    def _eval_pass(self, restrict=None) -> list[MatchResult]:
+        """One match-cycle at the current clock."""
+        now = self.clock
         self.cycle += 1
         out: list[MatchResult] = []
         eligible = eligibility_predicate(self.cp, self.lifetime_ms, now)
@@ -169,6 +199,8 @@ class Network:
         buffers = self.buffers
         versions = self._versions
         miss_cache = self._miss_cache
+        watermark = self._watermark
+        callbacks = self._callbacks
         for cp in (restrict if restrict is not None else self.cp.patterns):
             p_idx = cp.index
             if cp.debounce_ms is not None:
@@ -191,23 +223,14 @@ class Network:
                 miss_cache[p_idx] = versions[p_idx]
                 continue
 
-            def get_candidates(a_idx, c_idx, _p=p_idx, _cp=cp):
-                slot = (_p, a_idx, c_idx)
-                buf = self.buffers.get(slot, _EMPTY)
-                if buf:
-                    cons = _cp.alternatives[a_idx].constituents[c_idx]
-                    drop = 0
-                    while drop < len(buf) and self._dead_forever(buf[drop], cons, now):
-                        drop += 1
-                    if drop:
-                        del buf[:drop]
-                return buf
-
-            def get_blockers(a_idx, c_idx, _p=p_idx):
-                return self.blockers.get((_p, a_idx, c_idx), _EMPTY)
-
+            if callbacks[p_idx] is None:
+                callbacks[p_idx] = self._slot_callbacks(cp)
+            get_candidates, get_blockers, lookup = callbacks[p_idx]
             fp_before = self._pattern_fingerprint(cp, now) if self.on_guard_false else None
-            outcome = evaluate_pattern(cp, get_candidates, get_blockers, now, eligible, self.cycle)
+            outcome = evaluate_pattern(
+                cp, get_candidates, get_blockers, now, eligible, self.cycle,
+                lookup, watermark[p_idx],
+            )
             self.diagnostics.extend(outcome.diagnostics)
             if outcome.result is not None:
                 self._consume(cp, outcome.result)
@@ -215,6 +238,8 @@ class Network:
             else:
                 if outcome.guard_failed and self.on_guard_false:
                     self.on_guard_false(cp.name, fp_before, self._pattern_fingerprint(cp, now))
+                failed = outcome.guard_failed or outcome.diagnostics
+                watermark[p_idx] = None if failed else self.last_seq
                 if not outcome.diagnostics:
                     miss_cache[p_idx] = versions[p_idx]
         if restrict is None:
@@ -222,6 +247,37 @@ class Network:
         elif out:
             self._clean = False
         return out
+
+    def _slot_callbacks(self, cp: CompiledPattern):
+        """The decision procedure's view of one pattern's slots at the
+        current clock: (get_candidates, get_blockers, lookup), where lookup
+        is None unless some positive is keyed."""
+        p_idx = cp.index
+
+        def get_candidates(a_idx, c_idx):
+            slot = (p_idx, a_idx, c_idx)
+            buf = self.buffers.get(slot, _EMPTY)
+            if buf:
+                cons = cp.alternatives[a_idx].constituents[c_idx]
+                now = self.clock
+                drop = 0
+                while drop < len(buf) and self._dead_forever(buf[drop], cons, now):
+                    drop += 1
+                if drop:
+                    if cons.join_key:
+                        self._unindex_heads(slot, cons, buf[:drop])
+                    del buf[:drop]
+            return buf
+
+        def get_blockers(a_idx, c_idx):
+            return self.blockers.get((p_idx, a_idx, c_idx), _EMPTY)
+
+        def lookup(a_idx, c_idx, key):
+            get_candidates(a_idx, c_idx)  # drops dead heads from the index too
+            return self.index.get((p_idx, a_idx, c_idx), _NO_INDEX).get(key, _EMPTY)
+
+        keyed = any(c.join_key for alt in cp.alternatives for c in alt.positives)
+        return get_candidates, get_blockers, lookup if keyed else None
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
@@ -237,10 +293,32 @@ class Network:
                     kept = [m for m in buf if m.id not in ids]
                     if len(kept) != len(buf):
                         self.buffers[slot] = kept
+                        if cons.join_key:
+                            self._reindex(slot)
+        self._watermark[p_idx] = None
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
             self._schedule(result.at + cp.debounce_ms + 1, p_idx, _DEBOUNCE_CLEAR, ())
         self._versions[p_idx] += 1
+
+    def _reindex(self, slot) -> None:
+        p_idx, a_idx, c_idx = slot
+        cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
+        index: dict[tuple, list[Message]] = {}
+        for m in self.buffers[slot]:
+            index.setdefault(cons.message_key(m), []).append(m)
+        self.index[slot] = index
+
+    def _unindex_heads(self, slot, cons, dropped: list[Message]) -> None:
+        """Remove a keyed slot's dropped buffer head from its index: each
+        dropped message heads its bucket, as buckets keep buffer order."""
+        index = self.index[slot]
+        for m in dropped:
+            key = cons.message_key(m)
+            bucket = index[key]
+            del bucket[0]
+            if not bucket:
+                del index[key]
 
     def _dead_forever(self, m: Message, cons, now: int) -> bool:
         """True when a buffered message can never participate again, so the
@@ -300,6 +378,9 @@ class Network:
                         removed.add(m.id)
                 if len(kept) != len(buf):
                     store[slot] = kept
+                    if slot in self.index:
+                        self._reindex(slot)
+        self._watermark = [None] * len(self.cp.patterns)
         return len(removed)
 
     # -- introspection ------------------------------------------------------------

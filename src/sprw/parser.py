@@ -127,12 +127,16 @@ def _unquote(raw: str) -> str:
 
 _OPTION_KEYS = ("seq", "interval", "last", "debounce")
 _OPERATOR_KEYS = ("window", "debounce", "every", "count")
+# deepest expression nesting (parentheses and prefix `not`) accepted; the
+# recursive descent spends about seven frames per level
+MAX_NESTING = 100
 
 
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and prefix `not`s
         self.productions: Counter[str] = Counter()
 
     # -- token plumbing ----------------------------------------------------
@@ -155,6 +159,19 @@ class Parser:
         if tok.kind != kind:
             self.fail(f"expected {kind!r}, got {tok.text or 'end-of-input'!r}", {kind})
         return self.advance()
+
+    def nest(self, parse):
+        """Run a recursive production one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} deep",
+                tok.line, tok.column, code="NestingTooDeep",
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def fail(self, message: str, expected=()) -> None:
         tok = self.peek()
@@ -512,7 +529,7 @@ class Parser:
     def parse_not_expr(self):
         if self.at("not"):
             self.advance()
-            return NotOp(self.parse_not_expr())
+            return NotOp(self.nest(self.parse_not_expr))
         return self.parse_comparison()
 
     def parse_comparison(self):
@@ -540,7 +557,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_or_expr()
+            inner = self.nest(self.parse_or_expr)
             self.expect(")")
             return inner
         if tok.kind == "IDENT":

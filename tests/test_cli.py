@@ -84,6 +84,18 @@ def test_run_diagnostics_exit_3(tmp_path):
     assert "TypeMismatch" in r.stderr
 
 
+@pytest.mark.parametrize("opening", ["(", "not "])
+def test_deeply_nested_guard_exit_2(tmp_path, opening):
+    deep = tmp_path / "deep.sprw"
+    closing = ")" if opening == "(" else ""
+    deep.write_text(f"pattern p as {{:a, x}} when {opening * 2000}x > 1{closing * 2000}\n")
+    for args in (("run", "--trace", str(fixture_path("scenario6.trace.jsonl"))), ("check",)):
+        r = run_cli(args[0], "--patterns", str(deep), *args[1:])
+        assert r.returncode == 2, r.stderr
+        assert "nested more than 100 deep" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_trace_regression_exit_2(tmp_path):
     trace = tmp_path / "bad.jsonl"
     trace.write_text(

@@ -31,7 +31,7 @@ class TestCompile:
             if spec.type_tag == Symbol("motion") and spec.const_tests
         ]
         assert len(motion_on) == 1  # on_motion and no_motion share it
-        users = {p for p, _, _ in motion_on[0].downstream}
+        users = {p for p, _, _ in motion_on[0].targets}
         names = {compiled.patterns[p].name for p in users}
         assert names == {"on_motion", "no_motion"}
         light_on = [

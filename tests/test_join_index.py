@@ -1,0 +1,239 @@
+"""Keyed joins and delta seeding against the brute-force oracle.
+
+The engine fetches a keyed slot's candidates from a hash index and, after a
+fruitless evaluation, searches only combinations that hold a newer message.
+The oracle does neither, so byte-identical records over many seeded equi-join
+cases check both.  After every event the index must also equal its slot
+buffer filtered by key, in buffer order.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import sprw.combine
+from sprw.compile import compile_program
+from sprw.engine import Network
+from sprw.expand import expand
+from sprw.matching import extend_env
+from sprw.oracle import oracle_run
+from sprw.parser import parse_program
+from sprw.tracefile import AdvanceEvent, MessageEvent, record_line, records_for
+from sprw.values import Symbol
+
+CASES = 320
+JOIN_TYPES = "abc"
+# join keys are mostly small ints; 1.0 and True hash like 1 but never unify
+# with it, so they land in the same bucket and must be filtered out
+KEY_POOL = (1, 2, 3, 1, 2, 3, 1.0, True)
+
+
+def _join_pattern(rng: random.Random, name: str) -> str:
+    ways = rng.choice((2, 2, 3, 3, 4))
+    chain = rng.random() < 0.15  # consecutive pairs share a key: no delta seeding
+    parts = []
+    for i in range(ways):
+        first = f"k{min(i, ways - 2)}" if chain else "x"
+        roll = rng.random()
+        if chain:
+            second = f"k{i - 1}" if i else "y"
+        elif roll < 0.35:
+            second = "y"
+        elif roll < 0.5:
+            second = f"@m{i}"
+        elif roll < 0.65:
+            second = "!n"
+        elif roll < 0.75:
+            second = str(rng.randint(1, 3))
+        else:
+            second = f"u{i}"
+        third = "!w" if rng.random() < 0.15 else f"p{i}"
+        op = "[count: 2]" if rng.random() < 0.05 else ""
+        parts.append(f"{{:{rng.choice(JOIN_TYPES)}, {first}, {second}, {third}}}{op}")
+    if rng.random() < 0.12:
+        parts.append(f"not {{:d, x, q}}[window: {{{rng.randint(1, 2)}, :secs}}]")
+    body = " and ".join(parts)
+    if rng.random() < 0.3:
+        body += f" when p0 {rng.choice(('>', '<', '!='))} {rng.randint(1, 3)}"
+    options = []
+    if rng.random() < 0.3:
+        options.append("seq: true")
+    if rng.random() < 0.4:
+        options.append("last: true")
+    if rng.random() < 0.4:
+        options.append(f"interval: {{{rng.randint(1, 4)}, :secs}}")
+    if rng.random() < 0.2:
+        options.append(f"debounce: {{{rng.randint(1, 2)}, :secs}}")
+    if options:
+        body += f", options: [{', '.join(options)}]"
+    return f"pattern {name} as {body}"
+
+
+def _case(seed: int):
+    rng = random.Random(seed)
+    lines = [_join_pattern(rng, f"j{k}") for k in range(rng.randint(1, 3))]
+    # window expiry timers fall due on the same instants as arrivals
+    lines.append("pattern tick as {:t, z}[window: {1, :secs}]")
+    lines.append("react_to j0, with: emit(joined)")
+    events = []
+    ts = 0
+    for _ in range(rng.randint(40, 90)):
+        ts += rng.choice((0, 250, 250, 500, 1000))
+        if rng.random() < 0.05:
+            ts += 1000
+            events.append(AdvanceEvent(ts))
+            continue
+        tag = rng.choice("abcabcabcdt")
+        attrs = (rng.choice(KEY_POOL), rng.choice(KEY_POOL), rng.randint(1, 3))
+        events.append(MessageEvent(ts, Symbol(tag), attrs[:1] if tag == "t" else attrs))
+    events.append(AdvanceEvent(ts + 10_000))
+    lifetime = rng.choice((None, None, 2_000, 4_000))
+    gc_every = rng.choice((0, 0, 3, 7))
+    return "\n".join(lines) + "\n", events, lifetime, gc_every
+
+
+def _check_index(net: Network) -> None:
+    for slot, buf in net.buffers.items():
+        p_idx, a_idx, c_idx = slot
+        cons = net.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
+        if not cons.join_key:
+            assert slot not in net.index
+            continue
+        index = net.index.get(slot, {})
+        assert all(index.values()), f"empty bucket in {slot}"
+        assert set(index) == {cons.message_key(m) for m in buf}
+        for key, bucket in index.items():
+            assert bucket == [m for m in buf if cons.message_key(m) == key], slot
+
+
+def _engine_records(compiled, events, lifetime, gc_every, labels):
+    net = Network(compiled, lifetime_ms=lifetime)
+    matches = []
+    for n, ev in enumerate(events, start=1):
+        if isinstance(ev, AdvanceEvent):
+            matches.extend(net.advance_time(ev.to))
+        else:
+            matches.extend(net.ingest(ev.type_tag, ev.attrs, ev.ts)[1])
+        if gc_every and n % gc_every == 0:
+            net.gc(net.clock)
+        _check_index(net)
+    return [record_line(r) for r in records_for(matches, labels)]
+
+
+def _oracle_records(compiled, events, lifetime, labels):
+    out = oracle_run(compiled, events, lifetime)
+    return [record_line(r) for r in records_for(out.results, labels)]
+
+
+def _labels(compiled):
+    labels: dict[str, list[str]] = {}
+    for b in compiled.bindings:
+        labels.setdefault(b.pattern, []).append(b.label)
+    return lambda name: labels.get(name, [])
+
+
+def test_keyed_joins_match_oracle():
+    mismatched = []
+    delta_patterns = indexed_patterns = delta_matches = 0
+    for i in range(CASES):
+        seed = 52_000 + i
+        text, events, lifetime, gc_every = _case(seed)
+        compiled = compile_program(expand(parse_program(text)))
+        delta = {cp.name for cp in compiled.patterns if any(a.delta for a in cp.alternatives)}
+        delta_patterns += len(delta)
+        indexed_patterns += sum(
+            any(c.join_key for a in cp.alternatives for c in a.positives)
+            for cp in compiled.patterns
+        )
+        labels = _labels(compiled)
+        engine = _engine_records(compiled, events, lifetime, gc_every, labels)
+        if engine != _oracle_records(compiled, events, lifetime, labels):
+            mismatched.append(seed)
+        delta_matches += sum(json.loads(line)["pattern"] in delta for line in engine)
+    assert not mismatched, f"engine differs from oracle on seeds {mismatched[:5]}"
+    # the cases must reach the new paths, not just pass around them
+    assert delta_patterns >= CASES
+    assert indexed_patterns > delta_patterns
+    assert delta_matches >= 2 * CASES
+
+
+def test_shapes_that_qualify_for_delta_seeding():
+    def delta(text):
+        compiled = compile_program(expand(parse_program(text)))
+        return [a.delta for a in compiled.patterns[0].alternatives]
+
+    assert delta("pattern p as {:a, x, p} and {:b, x, q}") == [True]
+    assert delta("pattern p as {:a, x, y} and {:b, y, @z, x} and {:c, y, x, !z}") == [True]
+    # the keys differ, so a {:b} seed would leave {:a}'s key half bound
+    assert delta("pattern p as {:a, x, y} and {:b, x} and {:c, y, x}") == [False]
+    assert delta("pattern p as {:a, x} and {:b, x, y} and {:c, y}") == [False]
+    assert delta("pattern p as {:a, x} and {:b, y}") == [False]
+    assert delta("pattern p as {:a, x} and {:b, x}[count: 2]") == [False]
+    assert delta("pattern p as {:a, x} and {:b, x} and not {:c, x}[window: {1, :secs}]") == [False]
+    assert delta("pattern p as {:a, x} and {:b, x} or {:c, x}") == [True, False]
+
+
+def test_timer_group_due_at_an_arrival_sees_the_arrival():
+    # The window timer of `tick` falls due at 1000, the instant {:b, 1}
+    # arrives.  The timer group runs after the arrival's id is allocated but
+    # before it is routed, and its evaluation of `pair` (re-evaluated every
+    # cycle, as its interval bounds retention) finds nothing; the delta
+    # search that follows the arrival must still include it.
+    text = (
+        "pattern pair as {:a, x} and {:b, x}, options: [interval: {5, :secs}]\n"
+        "pattern tick as {:t, z}[window: {1, :secs}]\n"
+    )
+    events = [
+        MessageEvent(0, Symbol("a"), (1,)),
+        MessageEvent(0, Symbol("b"), (2,)),
+        MessageEvent(0, Symbol("t"), (9,)),
+        MessageEvent(1000, Symbol("b"), (1,)),
+        AdvanceEvent(5000),
+    ]
+    compiled = compile_program(expand(parse_program(text)))
+    labels = _labels(compiled)
+    engine = _engine_records(compiled, events, None, 0, labels)
+    assert engine == _oracle_records(compiled, events, None, labels)
+    assert [r for r in engine if '"pair"' in r] == [
+        '{"at":1000,"pattern":"pair","reaction":null,"messageIds":[1,4],'
+        '"bindings":{"x":1},"intermediates":{}}'
+    ]
+
+
+def _extend_env_calls_per_message(buffered: int, measured: int = 100) -> float:
+    """Calls per message once `buffered` messages whose keys never meet wait
+    in `{:a, x, p} and {:b, x, q}`."""
+    compiled = compile_program(expand(parse_program(
+        "pattern j as {:a, x, p} and {:b, x, q}"
+    )))
+    net = Network(compiled)
+
+    def feed(n):
+        tag, key = ("a", n) if n % 2 else ("b", -n)
+        net.ingest(Symbol(tag), (key, 0), n)
+
+    for n in range(buffered):
+        feed(n)
+    assert net.buffered_total() == buffered
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return extend_env(*args)
+
+    sprw.combine.extend_env = counting
+    try:
+        for n in range(buffered, buffered + measured):
+            feed(n)
+    finally:
+        sprw.combine.extend_env = extend_env
+    return calls / measured
+
+
+def test_join_cost_per_message_does_not_grow_with_buffered():
+    small = _extend_env_calls_per_message(400)
+    large = _extend_env_calls_per_message(1_600)
+    assert small == large
+    assert small <= 2

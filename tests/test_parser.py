@@ -118,6 +118,16 @@ def test_error_positions_are_reported():
         pytest.fail("expected ParseError")
 
 
+def test_nesting_limit():
+    guard = "(" * 100 + "x > 1" + ")" * 100
+    parse_program(f"pattern p as {{:a, x}} when {guard}")
+    parse_program("pattern p as {:a, x} when " + "not " * 99 + "(x > 1)")
+    for guard in ("(" * 101 + "x > 1" + ")" * 101, "not " * 101 + "x > 1"):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"pattern p as {{:a, x}} when {guard}")
+        assert err.value.code == "NestingTooDeep"
+
+
 def test_react_to_both_forms():
     program = parse_program(
         "pattern p as {:a, x}\nreact_to p, with: handle\nreact_to p, with: emit(out)"
