@@ -19,15 +19,14 @@ import sys
 
 from .actor import deliver, spawn, step
 from .compile import compile_program
-from .engine import replay_trace
 from .errors import SprwError
 from .expand import expand
+from .fuzz import differential, run_case
 from .fuzzgen import OP_GRID, generate_case
 from .nodes import Program, Selector, Var
-from .oracle import oracle_run
 from .parser import parse_program
 from .printer import pattern_text
-from .tracefile import AdvanceEvent, MessageEvent, load_trace, record_line, records_for
+from .tracefile import AdvanceEvent, MessageEvent, load_trace, record_line
 from .values import Duration, TIME_UNITS
 
 
@@ -188,50 +187,20 @@ def _shared_variables(cp):
     return out
 
 
-def _both_outputs(args):
-    program = _load_program(args.patterns)
-    events = _load_events(args.trace)
-    lifetime = parse_lifetime(getattr(args, "lifetime", None))
-    compiled = compile_program(expand(program))
-    labels: dict[str, list[str]] = {}
-    for b in compiled.bindings:
-        labels.setdefault(b.pattern, []).append(b.label)
-
-    def reactions_of(name):
-        return labels.get(name, [])
-
-    engine_matches, _ = replay_trace(compiled, events, lifetime)
-    oracle_out = oracle_run(compiled, events, lifetime)
-    engine_records = [record_line(r) for r in records_for(engine_matches, reactions_of)]
-    oracle_records = [record_line(r) for r in records_for(oracle_out.results, reactions_of)]
-    return engine_records, oracle_records
-
-
 def _cmd_oracle(args) -> int:
-    engine_records, oracle_records = _both_outputs(args)
-    if args.perturb and engine_records:
-        del engine_records[len(engine_records) // 2]
-    identical = engine_records == oracle_records
+    compiled = compile_program(expand(_load_program(args.patterns)))
+    diff = differential(compiled, _load_events(args.trace), parse_lifetime(args.lifetime))
+    if args.perturb and diff.engine_records:
+        del diff.engine_records[len(diff.engine_records) // 2]
+    divergence = diff.divergence()
     if args.diff:
-        if identical:
-            print(f"identical ({len(engine_records)} records)")
-        else:
-            for i in range(max(len(engine_records), len(oracle_records))):
-                e = engine_records[i] if i < len(engine_records) else "<missing>"
-                o = oracle_records[i] if i < len(oracle_records) else "<missing>"
-                if e != o:
-                    print(f"first divergence at record {i}:")
-                    print(f"  engine: {e}")
-                    print(f"  oracle: {o}")
-                    break
+        print(divergence or f"identical ({len(diff.engine_records)} records)")
     else:
-        sys.stdout.write("".join(line + "\n" for line in oracle_records))
-    return 0 if identical else 1
+        sys.stdout.write("".join(line + "\n" for line in diff.oracle_records))
+    return 1 if divergence else 0
 
 
 def _cmd_fuzz(args) -> int:
-    from .fuzz import run_case
-
     failures = 0
     covered: set[str] = set()
     for i in range(args.count):

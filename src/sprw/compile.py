@@ -107,7 +107,6 @@ class CompiledPattern:
     interval_ms: int | None
     last: bool
     debounce_ms: int | None
-    fastpath: bool = False
 
 
 @dataclass(slots=True)
@@ -280,15 +279,11 @@ def compile_program(program: Program) -> CompiledProgram:
             )
         )
 
-    retention = _retention_bounds(patterns)
-    for cp in patterns:
-        cp.fastpath = _fastpath_capable(cp, retention)
-
     return CompiledProgram(
         patterns=patterns,
         alphas=alphas,
         routing=routing,
-        retention_ms=retention,
+        retention_ms=_retention_bounds(patterns),
         bindings=program.bindings,
         source=program,
     )
@@ -384,18 +379,40 @@ class AlphaRouter:
         return passing
 
 
-def eligibility_predicate(compiled: CompiledProgram, lifetime_ms: int | None, now: int):
-    """Retention/lifetime predicate applied to every candidate and blocker."""
-    retention = compiled.retention_ms
+def expiry_bounds(compiled: CompiledProgram, lifetime_ms: int | None) -> dict[str, int | None]:
+    """Per referenced message type: the greatest age at which a message of it
+    is still eligible, the lower of ``lifetime_ms`` and the type's retention
+    bound (None when neither bounds it)."""
+    return {
+        tag: lifetime_ms if bound is None or lifetime_ms is not None and lifetime_ms < bound
+        else bound
+        for tag, bound in compiled.retention_ms.items()
+    }
+
+
+def eligibility_predicate(bounds: dict[str, int | None], now: int):
+    """Retention/lifetime predicate at ``now`` applied to every candidate and
+    blocker, given the :func:`expiry_bounds` of their types."""
 
     def eligible(m) -> bool:
-        age = now - m.ts
-        if lifetime_ms is not None and age > lifetime_ms:
-            return False
-        bound = retention.get(m.type_tag.name)
-        return bound is None or age <= bound
+        bound = bounds[m.type_tag.name]
+        return bound is None or now - m.ts <= bound
 
     return eligible
+
+
+def dead_forever(m, cons: CompiledConstituent, bound: int | None, now: int) -> bool:
+    """True when a message buffered for ``cons`` can never take part in a
+    combination again: it is past the constituent's window or slot bound, or
+    past ``bound``, the expiry bound of its type.  Every one of these only
+    comes with age, so the dead messages of a ts-ascending buffer are a
+    prefix."""
+    age = now - m.ts
+    return (
+        cons.window_ms is not None and age >= cons.window_ms
+        or cons.slot_bound_ms is not None and age > cons.slot_bound_ms
+        or bound is not None and age > bound
+    )
 
 
 def _const_tests(sel: Selector) -> tuple[tuple[int, Value], ...]:
@@ -435,17 +452,3 @@ def _retention_bounds(patterns: list[CompiledPattern]) -> dict[str, int | None]:
     for tag in unbounded:
         bounds[tag] = None
     return bounds
-
-
-def _fastpath_capable(cp: CompiledPattern, retention: dict[str, int | None]) -> bool:
-    """True when the pattern's evaluation outcome can only change at a
-    buffer/timer event, so a cached miss may be reused between events.
-    Plain constituents whose candidates can silently expire (finite retention
-    without a matching window timer) rule it out."""
-    for alt in cp.alternatives:
-        for cons in alt.constituents:
-            if cons.window_ms is not None:
-                continue  # expiry is timer-driven
-            if retention.get(cons.selector.type_tag.name) is not None:
-                return False
-    return True

@@ -2,13 +2,25 @@
 
 A :class:`Network` owns mutable match state for one actor: per-constituent
 buffers fed through shared alpha nodes, a hash index beside each keyed
-buffer, per-pattern consumed counts, and a timer queue realising windows,
-negation deadlines and match debouncing.
+buffer, per-pattern consumed counts, a timer queue realising windows,
+negation deadlines and match debouncing, and an agenda of the patterns whose
+state moved since their last evaluation.
 
 Evaluation discipline: every message arrival and every group of same-due
-timers is one match-cycle; each cycle runs over all pattern nodes in
-declaration order and each pattern activates at most once per cycle.  Every
-evaluation runs the decision procedure shared with the brute-force oracle
+timers is one match-cycle, at the instants the oracle evaluates, so the cycle
+numbers are the oracle's.  A cycle evaluates the patterns on the agenda in
+declaration order, each at most once.  Routing to a pattern's slot, a window
+expiry that trims one, a negation-clear or debounce-clear timer, and
+consumption put a pattern on the agenda.  A miss, a failed readiness gate or
+an active debounce take it off: until its state moves again, the oracle's
+evaluation of it misses too.  A diagnostic keeps it on, so the diagnostic
+repeats every cycle, as in the oracle.  Retention and lifetime deaths are the
+only moves no timer announces: a routed message whose ``bound``, the lower of
+the lifetime and its type's retention, is finite puts ``(ts + bound + 1,
+pattern)`` on an expiry heap that every cycle first drains into the agenda.  A death never starts a cycle, as the oracle never
+evaluates at one.
+
+Every evaluation runs the decision procedure shared with the brute-force oracle
 (:mod:`sprw.combine`), which re-checks windows, negation clearance,
 unification, ``seq`` and ``interval`` on every candidate it considers.  The
 oracle offers it every retained message; the engine only narrows which
@@ -16,8 +28,8 @@ candidates those are:
 
 * The engine's slots yield only messages within retention and lifetime:
   eligibility fails only with age, so dropping each buffer's dead head
-  suffices, and blockers are filtered under a lifetime.  The engine passes
-  no eligibility predicate.
+  suffices, for candidates and blockers alike.  The engine passes no
+  eligibility predicate.
 * A plain positive slot keyed on the variables it shares with the other
   positives keeps an index from key values to its messages, in buffer order.
   Routing appends to it, the dead-head drop trims it, and consumption and
@@ -54,13 +66,16 @@ from operator import attrgetter
 from typing import Callable
 
 from .combine import evaluate_pattern
-from .compile import AlphaRouter, CompiledPattern, CompiledProgram, eligibility_predicate
+from .compile import (
+    AlphaRouter,
+    CompiledPattern,
+    CompiledProgram,
+    dead_forever,
+    eligibility_predicate,
+    expiry_bounds,
+)
 from .errors import SprwError, TimeRegression
 from .matching import Diagnostic, MatchResult, Message, extend_env
-
-_WINDOW_EXPIRY = 0
-_NEGATION_CLEAR = 1
-_DEBOUNCE_CLEAR = 2
 
 _EMPTY: list[Message] = []
 _NO_INDEX: dict = {}
@@ -93,30 +108,23 @@ class Network:
         self.consumed: list[int] = [0] * len(compiled.patterns)
         self.router = AlphaRouter(compiled)
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
-        self._timers: list[tuple] = []  # (due, pattern, seq, kind, payload)
+        self._timers: list[tuple] = []  # (due, pattern, seq, payload)
         self._timer_seq = 0
+        # per message type: the greatest age at which its messages are eligible
+        self._bounds = expiry_bounds(compiled, lifetime_ms)
+        # (due, pattern): a message in one of the pattern's slots dies of
+        # retention or lifetime at due
+        self._expiries: list[tuple[int, int]] = []
+        # the patterns whose state moved since their last evaluation
+        self._agenda: set[int] = set()
         # per pattern: seq of the last routed message at an evaluation that
         # found no combination, or None when the next one must search in full
         self._watermark: list[int | None] = [None] * len(compiled.patterns)
         # per pattern: its _slot_callbacks, built on its first evaluation
         self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
         # per routed alpha node (by id): its targets as (pattern, slot,
-        # constituent, store, timers), built on the node's first message
+        # constituent, store, timers, death), built on the node's first message
         self._routes: dict[int, tuple] = {}
-        # patterns whose outcome can flip between state changes (finite
-        # retention on plain slots, or any lifetime): evaluated every cycle
-        self._always_eval = [
-            cp for cp in compiled.patterns if not cp.fastpath or lifetime_ms is not None
-        ]
-        # per pattern: False while its last miss still holds.  Routing, timers
-        # and consumption set it, and a miss clears it, except on the
-        # patterns in _always_eval
-        self._stale: list[bool] = [True] * len(compiled.patterns)
-        self._cacheable = [cp.fastpath and lifetime_ms is None for cp in compiled.patterns]
-        # True when the last full pass produced no matches, so a timer group
-        # that moved nothing cannot enable one either (leftover combinations
-        # after a match keep this False until the next full pass)
-        self._clean = False
 
     # -- ingestion -----------------------------------------------------------
 
@@ -150,12 +158,12 @@ class Network:
 
     def _route(self, msg: Message) -> None:
         ts = msg.ts
-        stale = self._stale
+        agenda = self._agenda
         for spec in self.router.route(msg.type_tag.name, msg.attrs, ts):
             targets = self._routes.get(id(spec))
             if targets is None:
                 targets = self._routes[id(spec)] = self._route_plan(spec)
-            for p_idx, slot, cons, store, timers in targets:
+            for p_idx, slot, cons, store, timers, death in targets:
                 if cons.needs_local_check and extend_env(cons.bind_terms, msg, {}, {}) is None:
                     continue
                 store.setdefault(slot, []).append(msg)
@@ -163,86 +171,93 @@ class Network:
                     self.index.setdefault(slot, {}).setdefault(
                         cons.message_key(msg), []
                     ).append(msg)
-                for delay, kind, payload in timers:
-                    self._schedule(ts + delay, p_idx, kind, payload)
-                stale[p_idx] = True
+                for delay, payload in timers:
+                    self._schedule(ts + delay, p_idx, payload)
+                if death is not None:
+                    heappush(self._expiries, (ts + death, p_idx))
+                agenda.add(p_idx)
 
     def _route_plan(self, spec) -> tuple:
-        """Per target of an alpha node: where its messages go and the timers
-        (delay, kind, payload) each one sets: its own window's expiry or
-        negation clearance, and one clearance per windowed negative beside a
-        positive."""
+        """Per target of an alpha node: where its messages go, the timers
+        (delay, payload) each one sets (its own window's expiry, and one
+        negation clearance per windowed negative beside a positive), and its
+        :meth:`_death_age`."""
         plan = []
         for p_idx, a_idx, cons in spec.targets:
-            if cons.negated:
-                store = self.blockers
-                timers = [] if cons.window_ms is None else [(cons.window_ms, _NEGATION_CLEAR, cons)]
-            else:
-                store = self.buffers
-                timers = [] if cons.window_ms is None else [(cons.window_ms, _WINDOW_EXPIRY, cons)]
+            timers = [] if cons.window_ms is None else [(cons.window_ms, cons)]
+            if not cons.negated:
                 timers += [
-                    (neg.window_ms, _NEGATION_CLEAR, None)
+                    (neg.window_ms, None)
                     for neg in self.cp.patterns[p_idx].alternatives[a_idx].negatives
                     if neg.window_ms is not None
                 ]
-            plan.append((p_idx, cons.slot, cons, store, tuple(timers)))
+            store = self.blockers if cons.negated else self.buffers
+            plan.append((p_idx, cons.slot, cons, store, tuple(timers), self._death_age(cons)))
         return tuple(plan)
 
-    def _schedule(self, due: int, pattern_idx: int, kind: int, payload) -> None:
+    def _death_age(self, cons) -> int | None:
+        """The age at which a message in ``cons``'s slot dies of retention or
+        lifetime before its window's expiry timer trims it, or None when it
+        never does."""
+        bound = self._bounds[cons.selector.type_tag.name]
+        if bound is not None and (cons.window_ms is None or bound + 1 < cons.window_ms):
+            return bound + 1
+        return None
+
+    def _schedule(self, due: int, pattern_idx: int, payload) -> None:
         """Queue a timer; ``payload`` is the windowed constituent whose slot it
-        trims, or None for a pure time flip.  The unique sequence number
-        keeps heap comparisons off the payload."""
+        trims, or None for a pure time flip (negation clearance or debounce
+        expiry).  The unique sequence number keeps heap comparisons off the
+        payload."""
         self._timer_seq += 1
-        heappush(self._timers, (due, pattern_idx, self._timer_seq, kind, payload))
+        heappush(self._timers, (due, pattern_idx, self._timer_seq, payload))
 
     def _run_timers(self, upto: int) -> list[MatchResult]:
+        """Fire every timer due by ``upto``, one match-cycle per due time."""
         results: list[MatchResult] = []
         timers = self._timers
+        agenda = self._agenda
         while timers and timers[0][0] <= upto:
             due = timers[0][0]
-            batch = []
             while timers and timers[0][0] == due:
-                batch.append(heappop(timers))
-            changed = False
-            for _, p_idx, _, kind, cons in batch:  # heap order: ties by pattern id
-                if cons is not None:  # expired window: the slot's contents can be dropped
-                    buf = (self.blockers if cons.negated else self.buffers).get(cons.slot)
-                    # ts ascending: the expired messages are a prefix
-                    expired = bisect_right(buf, due - cons.window_ms, key=_TS) if buf else 0
-                    if expired:
-                        del buf[:expired]
-                        changed = True
-                        self._stale[p_idx] = True
-                if kind != _WINDOW_EXPIRY:
-                    # negation clearance and debounce expiry are pure time
-                    # flips: the pattern must be re-examined even though no
-                    # buffer content moved
-                    changed = True
-                    self._stale[p_idx] = True
+                _, p_idx, _, cons = heappop(timers)
+                if cons is None:
+                    # a pure time flip: the pattern must be re-examined even
+                    # though no buffer content moved
+                    agenda.add(p_idx)
+                    continue
+                # expired window: the slot's contents can be dropped
+                buf = (self.blockers if cons.negated else self.buffers).get(cons.slot)
+                # ts ascending: the expired messages are a prefix
+                expired = bisect_right(buf, due - cons.window_ms, key=_TS) if buf else 0
+                if expired:
+                    del buf[:expired]
+                    agenda.add(p_idx)
             self.clock = due
-            if changed or not self._clean:
-                results.extend(self._eval_pass())
-            elif self._always_eval:
-                results.extend(self._eval_pass(self._always_eval))
+            results.extend(self._eval_pass())
         return results
 
-    def _eval_pass(self, restrict=None) -> list[MatchResult]:
-        """One match-cycle at the current clock."""
+    def _eval_pass(self) -> list[MatchResult]:
+        """One match-cycle at the current clock over the agenda."""
         now = self.clock
         self.cycle += 1
+        agenda = self._agenda
+        expiries = self._expiries
+        while expiries and expiries[0][0] <= now:
+            agenda.add(heappop(expiries)[1])
         out: list[MatchResult] = []
+        if not agenda:
+            return out
+        patterns = self.cp.patterns
         buffers = self.buffers
-        stale = self._stale
-        cacheable = self._cacheable
         watermark = self._watermark
         callbacks = self._callbacks
-        for cp in (restrict if restrict is not None else self.cp.patterns):
-            p_idx = cp.index
-            if not stale[p_idx]:
-                continue
+        for p_idx in sorted(agenda):
+            cp = patterns[p_idx]
             if cp.debounce_ms is not None:
                 last = self.last_activation[p_idx]
                 if last is not None and now - last <= cp.debounce_ms:
+                    agenda.discard(p_idx)  # until its debounce-clear timer
                     continue
             # cheap readiness gate: some alternative must be able to fill each
             # positive slot before the full decision procedure is worth running
@@ -255,7 +270,7 @@ class Network:
                 else:
                     break
             else:
-                stale[p_idx] = not cacheable[p_idx]
+                agenda.discard(p_idx)
                 continue
 
             if callbacks[p_idx] is None:
@@ -268,22 +283,18 @@ class Network:
                 cp, get_candidates, get_blockers, now, None, self.cycle,
                 lookup, watermark[p_idx],
             )
-            if outcome.diagnostics:
-                self.diagnostics.extend(outcome.diagnostics)
+            # a match or a diagnostic keeps the pattern on the agenda
             if outcome.result is not None:
                 self._consume(cp, outcome.result)
                 out.append(outcome.result)
+            elif outcome.diagnostics:
+                self.diagnostics.extend(outcome.diagnostics)
+                watermark[p_idx] = None
             else:
                 if outcome.guard_failed and self.on_guard_false:
                     self.on_guard_false(cp.name, fp_before, self._pattern_fingerprint(cp, now))
-                failed = outcome.guard_failed or outcome.diagnostics
-                watermark[p_idx] = None if failed else self.last_seq
-                if not outcome.diagnostics:
-                    stale[p_idx] = not cacheable[p_idx]
-        if restrict is None:
-            self._clean = not out
-        elif out:
-            self._clean = False
+                watermark[p_idx] = None if outcome.guard_failed else self.last_seq
+                agenda.discard(p_idx)
         return out
 
     def _slot_callbacks(self, cp: CompiledPattern):
@@ -292,37 +303,34 @@ class Network:
         is None unless some positive is keyed.
 
         Every message they yield that the decision procedure can use is
-        eligible.  Candidates follow a dropped dead head: eligibility fails
-        only with age, and the buffers ascend in ts.  Under a lifetime the
-        blockers are filtered; without one, retention never excludes a
-        blocker, since a windowed negation bounds its type's retention below
-        by its window and an unwindowed one leaves it unbounded.  A plain
-        positive beside windowed negatives yields only its messages at least
-        ``settle_ms`` old, the only ones that can join a valid combination
-        yet."""
-        buffers, blockers, index = self.buffers, self.blockers, self.index
-        dead_forever = self._dead_forever
-        retention = self.cp.retention_ms
-        # per alternative, per constituent: (slot, constituent, settle, mortal),
-        # where mortal says whether _dead_forever can ever hold in the slot
+        eligible: each slot follows a dropped dead head, as eligibility fails
+        only with age and the buffers ascend in ts.  A plain positive beside
+        windowed negatives yields only its messages at least ``settle_ms``
+        old, the only ones that can join a valid combination yet."""
+        index = self.index
+        # per alternative, per constituent: (store, slot, constituent, bound,
+        # mortal, settle), where bound is the expiry bound of the slot's type
+        # and mortal says whether the slot can hold a dead message that its
+        # window's expiry timers have not trimmed
         views = [
             [
-                (c.slot, c, c.settle_ms,
-                 c.window_ms is not None or c.slot_bound_ms is not None
-                 or self.lifetime_ms is not None
-                 or retention.get(c.selector.type_tag.name) is not None)
+                (self.blockers if c.negated else self.buffers, c.slot, c,
+                 self._bounds[c.selector.type_tag.name],
+                 c.slot_bound_ms is not None or self._death_age(c) is not None,
+                 c.settle_ms)
                 for c in alt.constituents
             ]
             for alt in cp.alternatives
         ]
 
-        def live(slot, cons, mortal):
+        def live(view):
             """The slot's buffer with its dead head dropped (index too)."""
-            buf = buffers.get(slot, _EMPTY)
-            if mortal and buf and dead_forever(buf[0], cons, self.clock):
+            store, slot, cons, bound, mortal, _ = view
+            buf = store.get(slot, _EMPTY)
+            if mortal and buf and dead_forever(buf[0], cons, bound, self.clock):
                 now = self.clock
                 drop = 1
-                while drop < len(buf) and dead_forever(buf[drop], cons, now):
+                while drop < len(buf) and dead_forever(buf[drop], cons, bound, now):
                     drop += 1
                 if cons.join_key:
                     self._unindex_heads(slot, cons, buf[:drop])
@@ -330,20 +338,18 @@ class Network:
             return buf
 
         def get_candidates(a_idx, c_idx):
-            slot, cons, settle, mortal = views[a_idx][c_idx]
-            buf = live(slot, cons, mortal)
+            view = views[a_idx][c_idx]
+            buf = live(view)
+            settle = view[5]
             return buf if settle is None or not buf else _settled(buf, self.clock - settle)
 
         def get_blockers(a_idx, c_idx):
-            blocking = blockers.get(views[a_idx][c_idx][0], _EMPTY)
-            if blocking and self.lifetime_ms is not None:
-                eligible = eligibility_predicate(self.cp, self.lifetime_ms, self.clock)
-                return [m for m in blocking if eligible(m)]
-            return blocking
+            return live(views[a_idx][c_idx])
 
         def lookup(a_idx, c_idx, key):
-            slot, cons, settle, mortal = views[a_idx][c_idx]
-            live(slot, cons, mortal)
+            view = views[a_idx][c_idx]
+            live(view)
+            slot, settle = view[1], view[5]
             bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
             return bucket if settle is None else _settled(bucket, self.clock - settle)
 
@@ -372,8 +378,7 @@ class Network:
         self._watermark[p_idx] = None
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
-            self._schedule(result.at + cp.debounce_ms + 1, p_idx, _DEBOUNCE_CLEAR, None)
-        self._stale[p_idx] = True
+            self._schedule(result.at + cp.debounce_ms + 1, p_idx, None)
 
     def _reindex(self, slot) -> None:
         p_idx, a_idx, c_idx = slot
@@ -394,18 +399,6 @@ class Network:
             if not bucket:
                 del index[key]
 
-    def _dead_forever(self, m: Message, cons, now: int) -> bool:
-        """True when a buffered message can never participate again, so the
-        buffer head may be dropped without touching match semantics."""
-        if cons.window_ms is not None and m.ts + cons.window_ms <= now:
-            return True
-        if cons.slot_bound_ms is not None and now - m.ts > cons.slot_bound_ms:
-            return True
-        if self.lifetime_ms is not None and now - m.ts > self.lifetime_ms:
-            return True
-        bound = self.cp.retention_ms.get(m.type_tag.name)
-        return bound is not None and now - m.ts > bound
-
     def _pattern_fingerprint(self, cp: CompiledPattern, now: int):
         """Live buffer contents for the guard-no-consume invariant check.
 
@@ -416,9 +409,10 @@ class Network:
         for alt in cp.alternatives:
             for cons in alt.constituents:
                 store = self.blockers if cons.negated else self.buffers
+                bound = self._bounds[cons.selector.type_tag.name]
                 parts.append(tuple(
                     m.id for m in store.get(cons.slot, _EMPTY)
-                    if not self._dead_forever(m, cons, now)
+                    if not dead_forever(m, cons, bound, now)
                 ))
         return tuple(parts), self.consumed[cp.index]
 
@@ -429,17 +423,9 @@ class Network:
 
         Returns the number of distinct messages removed.  Idempotent at a
         fixed ``now``."""
-        lifetime = lifetime_ms if lifetime_ms is not None else self.lifetime_ms
-        retention = self.cp.retention_ms
+        bounds = self._bounds if lifetime_ms is None else expiry_bounds(self.cp, lifetime_ms)
+        keep = eligibility_predicate(bounds, now)
         removed: set[int] = set()
-
-        def keep(m: Message) -> bool:
-            age = now - m.ts
-            if lifetime is not None and age > lifetime:
-                return False
-            bound = retention.get(m.type_tag.name)
-            return bound is None or age <= bound
-
         for store in (self.buffers, self.blockers):
             for slot, buf in store.items():
                 kept = []
@@ -450,6 +436,8 @@ class Network:
                         removed.add(m.id)
                 if len(kept) != len(buf):
                     store[slot] = kept
+                    # a lifetime shorter than the network's removes eligible messages
+                    self._agenda.add(slot[0])
                     if slot in self.index:
                         self._reindex(slot)
         self._watermark = [None] * len(self.cp.patterns)

@@ -1,42 +1,82 @@
-"""Differential runner: one generated case through engine and oracle."""
+"""Differential runner: the engine and the oracle over one program and trace."""
 
 from __future__ import annotations
 
-from .compile import compile_program
-from .engine import replay_trace
+from dataclasses import dataclass
+
+from .compile import CompiledProgram, compile_program
+from .engine import Network, replay_trace
 from .expand import expand
 from .fuzzgen import FuzzCase
-from .oracle import oracle_run
+from .matching import MatchResult
+from .oracle import OracleOutput, oracle_run
 from .parser import parse_program
 from .tracefile import record_line, records_for
 
 
-def case_outputs(case: FuzzCase, lifetime_ms: int | None = None):
-    """Run engine and oracle on one case; the program goes through the full
-    parse path so the surface syntax is exercised too."""
-    program = parse_program(case.program_text)
-    compiled = compile_program(expand(program))
+@dataclass(slots=True)
+class Differential:
+    """Both sides' outputs; the records are ``run``'s encoded output lines."""
+
+    engine_records: list[str]
+    oracle_records: list[str]
+    engine_matches: list[MatchResult]
+    oracle: OracleOutput
+    network: Network
+
+    def divergence(self) -> str:
+        """The first difference between the sides, in their records, their
+        diagnostics as (kind, pattern, at), then their matches' cycles; or ""
+        when they agree on all three."""
+        return (
+            _first_difference("record", self.engine_records, self.oracle_records)
+            or _first_difference(
+                "diagnostic",
+                [(d.kind, d.pattern, d.at) for d in self.network.diagnostics],
+                [(d.kind, d.pattern, d.at) for d in self.oracle.diagnostics],
+            )
+            or _first_difference(
+                "match cycle",
+                [(m.pattern, m.at, m.cycle) for m in self.engine_matches],
+                [(m.pattern, m.at, m.cycle) for m in self.oracle.results],
+            )
+        )
+
+
+def differential(
+    compiled: CompiledProgram,
+    events,
+    lifetime_ms: int | None = None,
+    network: Network | None = None,
+) -> Differential:
+    """Replay ``events`` through ``network`` (a new one under ``lifetime_ms``
+    when None) and through the oracle."""
     labels: dict[str, list[str]] = {}
     for b in compiled.bindings:
         labels.setdefault(b.pattern, []).append(b.label)
 
-    def reactions_of(name: str):
-        return labels.get(name, [])
+    def encode(matches):
+        return [record_line(r) for r in records_for(matches, lambda n: labels.get(n, []))]
 
-    engine_matches, net = replay_trace(compiled, case.trace, lifetime_ms)
-    oracle_out = oracle_run(compiled, case.trace, lifetime_ms)
-    engine_records = [record_line(r) for r in records_for(engine_matches, reactions_of)]
-    oracle_records = [record_line(r) for r in records_for(oracle_out.results, reactions_of)]
-    return engine_records, oracle_records, engine_matches, oracle_out, net
+    engine_matches, net = replay_trace(compiled, events, lifetime_ms, network)
+    oracle_out = oracle_run(compiled, events, lifetime_ms)
+    return Differential(
+        encode(engine_matches), encode(oracle_out.results), engine_matches, oracle_out, net
+    )
 
 
 def run_case(case: FuzzCase, lifetime_ms: int | None = None) -> tuple[bool, str]:
-    engine_records, oracle_records, _, _, _ = case_outputs(case, lifetime_ms)
-    if engine_records == oracle_records:
-        return True, ""
-    for i in range(max(len(engine_records), len(oracle_records))):
-        e = engine_records[i] if i < len(engine_records) else "<missing>"
-        o = oracle_records[i] if i < len(oracle_records) else "<missing>"
+    """Run one generated case; the program goes through the full parse path
+    so the surface syntax is exercised too."""
+    compiled = compile_program(expand(parse_program(case.program_text)))
+    detail = differential(compiled, case.trace, lifetime_ms).divergence()
+    return not detail, detail
+
+
+def _first_difference(what: str, engine: list, oracle: list) -> str:
+    for i in range(max(len(engine), len(oracle))):
+        e = engine[i] if i < len(engine) else "<missing>"
+        o = oracle[i] if i < len(oracle) else "<missing>"
         if e != o:
-            return False, f"record {i}:\n  engine: {e}\n  oracle: {o}"
-    return False, "length mismatch"
+            return f"first divergence at {what} {i}:\n  engine: {e}\n  oracle: {o}"
+    return ""

@@ -70,18 +70,6 @@ class Diagnostic:
 # unification
 
 
-def merge_bindings(base: dict[str, Value], extra: dict[str, Value]) -> dict[str, Value] | None:
-    """Consistent union of two binding maps, or None on a conflict."""
-    out = dict(base)
-    for name, value in extra.items():
-        if name in out:
-            if not values_equal(out[name], value):
-                return None
-        else:
-            out[name] = value
-    return out
-
-
 def unify_selector(
     sel: Selector,
     msg: Message,

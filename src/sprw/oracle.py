@@ -19,7 +19,13 @@ import heapq
 from dataclasses import dataclass, field
 
 from .combine import evaluate_pattern
-from .compile import AlphaRouter, CompiledProgram, eligibility_predicate
+from .compile import (
+    AlphaRouter,
+    CompiledProgram,
+    dead_forever,
+    eligibility_predicate,
+    expiry_bounds,
+)
 from .matching import Diagnostic, MatchResult, Message, extend_env
 from .tracefile import AdvanceEvent, TraceEvent
 
@@ -89,19 +95,9 @@ def oracle_run(
     starts: dict[tuple[int, int, int], int] = {}
     consumed: list[set[int]] = [set() for _ in compiled.patterns]
     last_activation: list[int | None] = [None] * len(compiled.patterns)
-    retention = compiled.retention_ms
+    bounds = expiry_bounds(compiled, lifetime_ms)
     cycle = 0
     empty: list[Message] = []
-
-    def dead_forever(m: Message, cons, now: int) -> bool:
-        if cons.window_ms is not None and m.ts + cons.window_ms <= now:
-            return True
-        if cons.slot_bound_ms is not None and now - m.ts > cons.slot_bound_ms:
-            return True
-        if lifetime_ms is not None and now - m.ts > lifetime_ms:
-            return True
-        bound = retention.get(m.type_tag.name)
-        return bound is not None and now - m.ts > bound
 
     def live_slice(store, slot, cons, now, skip_consumed):
         lst = store.get(slot)
@@ -110,7 +106,7 @@ def oracle_run(
         start = starts.get(slot, 0)
         while start < len(lst) and (
             (skip_consumed is not None and lst[start].id in skip_consumed)
-            or dead_forever(lst[start], cons, now)
+            or dead_forever(lst[start], cons, bounds[cons.selector.type_tag.name], now)
         ):
             start += 1
         starts[slot] = start
@@ -121,7 +117,7 @@ def oracle_run(
     def eval_all(now: int) -> None:
         nonlocal cycle
         cycle += 1
-        eligible = eligibility_predicate(compiled, lifetime_ms, now)
+        eligible = eligibility_predicate(bounds, now)
         for cp in compiled.patterns:
             p_idx = cp.index
             if cp.debounce_ms is not None:

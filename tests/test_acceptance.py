@@ -20,13 +20,14 @@ from sprw.combine import evaluate_pattern
 from sprw.compile import compile_program
 from sprw.engine import Network, replay_trace
 from sprw.expand import expand
+from sprw.fuzz import differential
 from sprw.fuzzgen import OP_GRID, generate_case
 from sprw.matching import Message, unify_selector
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
 from sprw.printer import pretty_print
 from sprw.cli import run_records
-from sprw.tracefile import MessageEvent, AdvanceEvent, load_trace, record_line, records_for
+from sprw.tracefile import MessageEvent, AdvanceEvent, load_trace
 from sprw.values import Symbol
 
 from conftest import CORPUS_FILES, SCENARIOS, fixture_path
@@ -155,16 +156,11 @@ def corpus_run():
             if before != after:
                 _bad.append(name)
 
-        net = Network(compiled, on_guard_false=hook)
-        engine_matches, _ = replay_trace(compiled, case.trace, network=net)
-        oracle_out = oracle_run(compiled, case.trace)
-
-        labels: dict[str, list[str]] = {}
-        for b in compiled.bindings:
-            labels.setdefault(b.pattern, []).append(b.label)
-        as_lines = lambda ms: [record_line(r) for r in records_for(ms, lambda n: labels.get(n, []))]
-        if as_lines(engine_matches) != as_lines(oracle_out.results):
+        diff = differential(compiled, case.trace, network=Network(compiled, on_guard_false=hook))
+        # records, diagnostics and match cycles
+        if diff.divergence():
             run.mismatches.append(seed)
+        engine_matches = diff.engine_matches
 
         per_cycle = Counter((m.pattern, m.cycle) for m in engine_matches)
         if any(v > 1 for v in per_cycle.values()):

@@ -7,7 +7,9 @@ from sprw.compile import compile_program
 from sprw.engine import Network
 from sprw.errors import CompileError, TimeRegression
 from sprw.expand import expand
+from sprw.fuzz import differential
 from sprw.parser import parse_program
+from sprw.tracefile import AdvanceEvent, MessageEvent
 from sprw.values import Symbol
 
 from conftest import corpus_text
@@ -117,6 +119,52 @@ class TestInsert:
         assert [(m.at, m.bindings["x"]) for m in results] == [(12_000, 1)]
         leftover = feed(net, "zz", (), 13_000)  # any cycle trigger suffices
         assert [(m.at, m.bindings["x"]) for m in leftover] == [(13_000, 2)]
+
+
+class TestAgenda:
+    def test_lifetime_death_joins_the_next_cycle(self):
+        # no timer announces a blocker's death under a lifetime: the pattern
+        # joins the agenda at the next cycle, which the death does not start,
+        # as the oracle evaluates only at arrivals and timers
+        text = "pattern p as {:a, x} and not {:m, x}"
+        net = build(text, lifetime_ms=1_000)
+        assert feed(net, "m", (1,), 0) == []
+        assert feed(net, "a", (1,), 500) == []  # blocked
+        assert net.advance_time(1_200) == []  # the blocker died at 1,001
+        assert net.cycle == 2
+        results = feed(net, "zz", (), 1_300)
+        assert [(m.pattern, m.at, m.cycle) for m in results] == [("p", 1_300, 3)]
+        trace = [
+            MessageEvent(0, Symbol("m"), (1,)),
+            MessageEvent(500, Symbol("a"), (1,)),
+            AdvanceEvent(1_200),
+            MessageEvent(1_300, Symbol("zz"), ()),
+        ]
+        diff = differential(compile_program(expand(parse_program(text))), trace, 1_000)
+        assert diff.divergence() == ""
+        assert [m.cycle for m in diff.oracle.results] == [3]
+
+    def test_pattern_is_evaluated_only_when_its_state_moves(self, monkeypatch):
+        # an interval bounds the retention of both types; each death is
+        # announced once, on the first cycle at or after it
+        evaluated = []
+        evaluate = sprw.engine.evaluate_pattern
+
+        def recording(cp, get_candidates, get_blockers, now, *args):
+            evaluated.append((cp.name, now))
+            return evaluate(cp, get_candidates, get_blockers, now, *args)
+
+        monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
+        net = build(
+            "pattern pair as {:a, x} and {:b, x}, options: [interval: {1, :secs}]\n"
+            "pattern other as {:c, x}"
+        )
+        feed(net, "a", (1,), 0)  # the readiness gate skips: no {:b} yet
+        feed(net, "b", (2,), 10)
+        for ts in (20, 30, 1_100, 1_200):
+            feed(net, "zz", (), ts)
+        assert evaluated == [("pair", 10), ("pair", 1_100)]
+        assert net.buffered_total() == 0
 
 
 class TestAdvanceTime:
@@ -295,6 +343,15 @@ class TestGc:
         net.advance_time(7_200_000)
         assert net.gc(7_200_000) == 1
         assert net.gc(7_200_000) == 0  # idempotent
+
+    def test_gc_under_a_shorter_lifetime_moves_the_pattern(self):
+        # removing a blocker that is still eligible under the network's own
+        # (unbounded) lifetime moves the pattern's state like any other removal
+        net = build("pattern p as {:a, x} and not {:m, x}")
+        feed(net, "m", (1,), 0)
+        assert feed(net, "a", (1,), 1_500) == []
+        assert net.gc(1_800, lifetime_ms=1_000) == 1
+        assert [(m.pattern, m.at) for m in feed(net, "zz", (), 1_900)] == [("p", 1_900)]
 
     def test_window_referenced_message_retained(self):
         net = build(corpus_text("fig15"))

@@ -13,7 +13,6 @@ from sprw.matching import (
     Message,
     apply_transformers,
     eval_expr,
-    merge_bindings,
     unify_selector,
 )
 from sprw.nodes import BinOp, Lit, VarRef
@@ -90,14 +89,6 @@ class TestUnify:
             itertools.combinations(full, k) for k in range(3)
         ):
             assert unify_selector(sel, message, env={k: full[k] for k in keys}) is not None
-
-    def test_merge_order_does_not_flip_success(self):
-        a = {"x": 1, "y": 2}
-        b = {"y": 2, "z": 3}
-        assert merge_bindings(a, b) == merge_bindings(b, a)
-        conflicting = {"y": 9}
-        assert merge_bindings(a, conflicting) is None
-        assert merge_bindings(conflicting, a) is None
 
 
 class TestEval:

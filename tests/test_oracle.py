@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from sprw.compile import compile_program
 from sprw.expand import expand
 from sprw.fuzz import run_case
-from sprw.fuzzgen import generate_case
+from sprw.fuzzgen import OP_GRID, generate_case
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
 from sprw.tracefile import AdvanceEvent, MessageEvent
@@ -75,3 +77,17 @@ def test_seeded_cases_agree_with_engine():
         case = generate_case(5000 + seed, n_events=100)
         ok, detail = run_case(case)
         assert ok, f"seed {case.seed}: {detail}\n{case.program_text}"
+
+
+# (seed, events, position in its run) of cases where diagnostics or match
+# cycles once diverged: criterion 4's corpus (seeds from 31,000) and
+# `sprw fuzz --events 600 --seed 95000`; the position picks the forced operator
+@pytest.mark.parametrize(
+    "seed, n_events, i",
+    [(31_000 + i, 120, i) for i in (40, 74, 103, 117, 129, 142, 174)]
+    + [(95_000 + i, 600, i) for i in (13, 78, 83)],
+)
+def test_diagnostics_and_match_cycles_agree_with_engine(seed, n_events, i):
+    case = generate_case(seed, n_events=n_events, force_op=OP_GRID[i % len(OP_GRID)])
+    ok, detail = run_case(case)
+    assert ok, f"seed {seed}: {detail}\n{case.program_text}"
