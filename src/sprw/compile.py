@@ -45,6 +45,8 @@ class CompiledConstituent:
     debounce_ms: int | None
     transformers: Callable | None  # the compiled fold/bind chain
     accumulates: bool  # count or window: the slot contributes a greedy group
+    # (type tag name, arity, constant tests as (attr index, value), every_n,
+    # debounce_ms): constituents with equal keys share one alpha node
     alpha_key: tuple = ()
     # non-constant terms as (attr index, name, kind 0=var/1=must-distinct);
     # constant tests are already guaranteed by the alpha node, and
@@ -189,18 +191,22 @@ def compile_program(program: Program) -> CompiledProgram:
                         debounce_ms = op.duration.ms
                 bind_terms = []
                 var_names = []
-                for pos, term in enumerate(leaf.base.terms):
+                const_tests = []
+                selector = leaf.base
+                for pos, term in enumerate(selector.terms):
                     if isinstance(term, Var):
                         bind_terms.append((pos, term.name, 0))
                         var_names.append(term.name)
                     elif isinstance(term, MustDistinct):
                         bind_terms.append((pos, term.name, 1))
+                    elif isinstance(term, Const):
+                        const_tests.append((pos, term.value))
                 constituents.append(
                     CompiledConstituent(
                         cons_index=c_idx,
                         slot=(p_idx, a_idx, c_idx),
                         negated=leaf.negated,
-                        selector=leaf.base,
+                        selector=selector,
                         count_n=count_n,
                         window_ms=window_ms,
                         every_n=every_n,
@@ -210,6 +216,8 @@ def compile_program(program: Program) -> CompiledProgram:
                             _closure(compile_transformers, leaf.transformers, past.name)
                             if leaf.transformers else None
                         ),
+                        alpha_key=(selector.type_tag.name, len(selector.terms), tuple(const_tests),
+                                   every_n, debounce_ms),
                         bind_terms=tuple(bind_terms),
                         needs_local_check=len(var_names) != len(set(var_names)),
                     )
@@ -234,20 +242,14 @@ def compile_program(program: Program) -> CompiledProgram:
             alternatives.append(alt)
 
             for cons in constituents:
-                key = _alpha_key(cons)
-                cons.alpha_key = key
+                key = cons.alpha_key
                 spec = alphas.get(key)
                 if spec is None:
-                    spec = AlphaSpec(
-                        key=key,
-                        type_tag=cons.selector.type_tag,
-                        arity=cons.selector.arity,
-                        const_tests=_const_tests(cons.selector),
-                        every_n=cons.every_n,
-                        debounce_ms=cons.debounce_ms,
+                    tag_name, arity, const_tests, every_n, debounce_ms = key
+                    spec = alphas[key] = AlphaSpec(
+                        key, cons.selector.type_tag, arity, const_tests, every_n, debounce_ms
                     )
-                    alphas[key] = spec
-                    routing.setdefault(cons.selector.type_tag.name, []).append(key)
+                    routing.setdefault(tag_name, []).append(key)
                 spec.targets.append((p_idx, a_idx, cons))
 
         opts: Options = past.options
@@ -412,20 +414,6 @@ def dead_forever(m, cons: CompiledConstituent, bound: int | None, now: int) -> b
         cons.window_ms is not None and age >= cons.window_ms
         or cons.slot_bound_ms is not None and age > cons.slot_bound_ms
         or bound is not None and age > bound
-    )
-
-
-def _const_tests(sel: Selector) -> tuple[tuple[int, Value], ...]:
-    return tuple((i, t.value) for i, t in enumerate(sel.terms) if isinstance(t, Const))
-
-
-def _alpha_key(cons: CompiledConstituent) -> tuple:
-    return (
-        cons.selector.type_tag.name,
-        cons.selector.arity,
-        _const_tests(cons.selector),
-        cons.every_n,
-        cons.debounce_ms,
     )
 
 

@@ -13,8 +13,6 @@ referenced patterns must not carry options.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import ExpandError
 from .nodes import (
     AliasOp,
@@ -149,11 +147,22 @@ def _check_transformer_order(elem: ElemPattern, name: str) -> None:
 
 
 def _apply_refinements(body: Body, refinements, ref_name: str) -> Body:
+    """Apply ``refinements`` in order with one rewrite of the body's terms.
+
+    Each refinement is checked against the names the earlier ones leave, and
+    an alias never merges two names, so every name the body spells maps to
+    one final term: a constant, or a variable under its last spelling and
+    distinctness marker."""
+    if not refinements:
+        return body
+    # each live name -> the name as the body spells it
+    spelled = {n: n for n in _term_names(body)}
+    consts: dict[str, Const] = {}
+    marks: dict[str, type] = {}
     inlined: set[str] = set()
     for r in refinements:
-        names = _term_names(body)
         if isinstance(r, InlineGuard):
-            if r.name not in names:
+            if r.name not in spelled:
                 if r.name in inlined:
                     raise ExpandError(
                         "InlineGuardOnConst",
@@ -163,44 +172,48 @@ def _apply_refinements(body: Body, refinements, ref_name: str) -> Body:
                     "RefinementUnknownVar",
                     f"{ref_name!r} has no variable {r.name!r}",
                 )
-            value = _const_eval(r.value)
-            body = _map_terms(body, lambda t: Const(value) if _named(t) == r.name else t)
+            consts[spelled.pop(r.name)] = Const(_const_eval(r.value))
             inlined.add(r.name)
         elif isinstance(r, AliasOp):
-            if r.src not in names:
+            if r.src not in spelled:
                 raise ExpandError(
                     "RefinementUnknownVar",
                     f"{ref_name!r} has no variable {r.src!r}",
                 )
-            if r.dst in names:
+            if r.dst in spelled:
                 raise ExpandError(
                     "AliasCollision",
                     f"alias target {r.dst!r} already names a variable in {ref_name!r}",
                 )
-            body = _map_terms(body, lambda t: _rename(t, r.src, r.dst))
+            spelled[r.dst] = spelled.pop(r.src)
         else:  # DistinctMark
-            if r.name not in names:
+            if r.name not in spelled:
                 raise ExpandError(
                     "RefinementUnknownVar",
                     f"{ref_name!r} has no variable {r.name!r}",
                 )
-            mark = MustDistinct if r.marker == "!" else MayDistinct
-            body = _map_terms(
-                body, lambda t: mark(r.name) if _named(t) == r.name else t
-            )
-    return body
+            marks[spelled[r.name]] = MustDistinct if r.marker == "!" else MayDistinct
+    # name as spelled -> (final name, marker or None to keep the term's kind)
+    renames = {
+        old: (new, marks.get(old)) for new, old in spelled.items() if new != old or old in marks
+    }
+
+    def rewrite(term):
+        name = _named(term)
+        if name in consts:
+            return consts[name]
+        if name in renames:
+            new, mark = renames[name]
+            return (mark or type(term))(new)
+        return term
+
+    return _map_terms(body, rewrite)
 
 
 def _named(term) -> str | None:
     if isinstance(term, (Var, MustDistinct, MayDistinct)):
         return term.name
     return None
-
-
-def _rename(term, src: str, dst: str):
-    if _named(term) == src:
-        return type(term)(dst)
-    return term
 
 
 def _term_names(body: Body) -> set[str]:
@@ -215,14 +228,20 @@ def _term_names(body: Body) -> set[str]:
 
 
 def _map_terms(body: Body, fn) -> Body:
+    """``body`` with ``fn`` applied to every selector term; subtrees whose
+    terms ``fn`` leaves unchanged are kept as they are."""
     if isinstance(body, ElemPattern):
-        if not isinstance(body.base, Selector):
+        base = body.base
+        if not isinstance(base, Selector):
             return body
-        new_terms = tuple(fn(t) for t in body.base.terms)
-        return replace(body, base=replace(body.base, terms=new_terms))
-    parts = body.parts if isinstance(body, AndGroup) else body.alts
-    cls = AndGroup if isinstance(body, AndGroup) else OrGroup
-    return cls(tuple(_map_terms(p, fn) for p in parts))
+        terms = tuple([fn(t) for t in base.terms])
+        if terms == base.terms:
+            return body
+        return ElemPattern(body.negated, Selector(base.type_tag, terms),
+                           body.operators, body.transformers)
+    if isinstance(body, AndGroup):
+        return AndGroup(tuple([_map_terms(p, fn) for p in body.parts]))
+    return OrGroup(tuple([_map_terms(p, fn) for p in body.alts]))
 
 
 def _const_eval(e: Expr) -> Value:

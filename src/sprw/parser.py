@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .nodes import (
@@ -48,17 +47,18 @@ from .values import Duration, Symbol, TIME_UNITS
 # --------------------------------------------------------------------------
 # lexer
 
+# Spaces, tabs, carriage returns and newlines separate tokens; any other
+# character that starts no token is `bad`.
 _TOKEN_RE = re.compile(
     r"""
       (?P<comment>\#[^\n]*)
-    | (?P<ws>[ \t\r]+)
-    | (?P<nl>\n)
-    | (?P<float>\d+\.\d+)
-    | (?P<int>\d+)
-    | (?P<symbol>:[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<FLOAT>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<SYMBOL>:[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<STRING>"(?:\\.|[^"\\\n])*")
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>\|>|~>|->|==|!=|<=|>=|[{}()\[\],:=<>+\-*/@!])
+    | (?P<bad>[^ \t\r\n])
     """,
     re.VERBOSE,
 )
@@ -69,41 +69,39 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # IDENT SYMBOL INT FLOAT STRING keyword-or-operator EOF
-    text: str
-    line: int
-    column: int
+def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kind, text and source offset of every token, as three lists.
 
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    A kind is IDENT SYMBOL INT FLOAT STRING, the keyword or operator itself,
+    or EOF.  The lists hold only strings and ints, which the garbage collector
+    does not track, so a long program's tokens add nothing to its passes.  Two
+    EOF entries end them, so the parser may look one token past the end."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    add_kind, add_text, add_start = kinds.append, texts.append, starts.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "ident":
-                tok_kind = lexeme if lexeme in _KEYWORDS else "IDENT"
-            elif kind == "op":
-                tok_kind = lexeme
-            else:
-                tok_kind = kind.upper()
-            tokens.append(Token(tok_kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        if kind == "op" or kind == "IDENT" and lexeme in _KEYWORDS:
+            kind = lexeme
+        elif kind == "comment":
+            continue
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", *_position(text, m.start()))
+        add_kind(kind)
+        add_text(lexeme)
+        add_start(m.start())
+    kinds += ("EOF", "EOF")
+    texts += ("", "")
+    starts += (len(text), len(text))
+    return kinds, texts, starts
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``text``; the column counts
+    from the start of the line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _unquote(raw: str) -> str:
@@ -134,39 +132,42 @@ MAX_NESTING = 100
 
 class Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.source = text
+        self.kinds, self.texts, self.starts = tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and prefix `not`s
         self.productions: Counter[str] = Counter()
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def advance(self) -> str:
+        """Consume the current token and return its text (for a keyword or
+        an operator, also its kind)."""
+        pos = self.pos
+        if self.kinds[pos] != "EOF":
+            self.pos = pos + 1
+        return self.texts[pos]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, got {tok.text or 'end-of-input'!r}", {kind})
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        """Consume a token of ``kind`` and return its text."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {kind!r}, got {self.texts[pos] or 'end-of-input'!r}", {kind})
+        self.pos = pos + 1  # no production expects EOF
+        return self.texts[pos]
+
+    def error(self, message: str, pos: int, expected=(), code: str = "SyntaxError") -> ParseError:
+        """A ParseError positioned at token ``pos``."""
+        return ParseError(message, *_position(self.source, self.starts[pos]), expected, code)
 
     def nest(self, parse):
         """Run a recursive production one nesting level deeper."""
         if self.depth == MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(
-                f"expression nested more than {MAX_NESTING} deep",
-                tok.line, tok.column, code="NestingTooDeep",
+            raise self.error(
+                f"expression nested more than {MAX_NESTING} deep", self.pos, code="NestingTooDeep"
             )
         self.depth += 1
         node = parse()
@@ -174,8 +175,7 @@ class Parser:
         return node
 
     def fail(self, message: str, expected=()) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column, expected)
+        raise self.error(message, self.pos, expected)
 
     # -- program -----------------------------------------------------------
 
@@ -188,10 +188,8 @@ class Parser:
             if self.at("pattern"):
                 p = self.parse_pattern_definition()
                 if p.name in seen:
-                    raise ParseError(
-                        f"duplicate pattern {p.name!r}",
-                        self.peek().line, self.peek().column,
-                        code="DuplicatePattern",
+                    raise self.error(
+                        f"duplicate pattern {p.name!r}", self.pos, code="DuplicatePattern"
                     )
                 seen.add(p.name)
                 patterns.append(p)
@@ -199,7 +197,7 @@ class Parser:
                 bindings.append(self.parse_react_to())
             else:
                 self.fail(
-                    f"expected declaration, got {self.peek().text!r}",
+                    f"expected declaration, got {self.texts[self.pos]!r}",
                     {"pattern", "react_to"},
                 )
         return Program(tuple(patterns), tuple(bindings))
@@ -207,17 +205,17 @@ class Parser:
     def parse_react_to(self) -> ReactionBinding:
         self.productions["react-to"] += 1
         self.expect("react_to")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect(",")
         self.expect("with")
         self.expect(":")
         if self.at("emit"):
             self.advance()
             self.expect("(")
-            label = self.expect("IDENT").text
+            label = self.expect("IDENT")
             self.expect(")")
             return ReactionBinding(name, label, emit_form=True)
-        label = self.expect("IDENT").text
+        label = self.expect("IDENT")
         return ReactionBinding(name, label)
 
     # -- pattern definitions -------------------------------------------------
@@ -225,7 +223,7 @@ class Parser:
     def parse_pattern_definition(self) -> PatternAst:
         self.productions["pattern-definition"] += 1
         self.expect("pattern")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect("as")
         body = self.parse_body()
         guard = None
@@ -234,7 +232,7 @@ class Parser:
             self.advance()
             guard = self.parse_expr()
         options = Options()
-        if self.at(",") and self.peek(1).kind == "options":
+        if self.at(",") and self.kinds[self.pos + 1] == "options":
             self.advance()
             self.expect("options")
             self.expect(":")
@@ -247,7 +245,7 @@ class Parser:
         alts: list[AndGroup] = []
         parts: list[ElemPattern] = [self.parse_elem_pattern()]
         while self.at("and", "or"):
-            op = self.advance().kind
+            op = self.advance()
             nxt = self.parse_elem_pattern()
             if op == "and":
                 parts.append(nxt)
@@ -289,61 +287,58 @@ class Parser:
             return self.parse_selector()
         if self.at("IDENT"):
             self.productions["selector-ref"] += 1
-            name = self.advance().text
+            name = self.advance()
             refinements = []
             while self.at("{"):
                 refinements.extend(self.parse_refinement_group())
             return NamedRef(name, tuple(refinements))
-        self.fail(f"expected selector, got {self.peek().text or 'end-of-input'!r}",
+        self.fail(f"expected selector, got {self.texts[self.pos] or 'end-of-input'!r}",
                   {"{", "IDENT"})
 
     def parse_selector(self) -> Selector:
         self.productions["selector"] += 1
         self.expect("{")
-        tag_tok = self.expect("SYMBOL")
+        tag = self.expect("SYMBOL")
         terms = []
         while self.at(","):
             self.advance()
             terms.append(self.parse_attribute())
         self.expect("}")
-        return Selector(Symbol(tag_tok.text[1:]), tuple(terms))
+        return Selector(Symbol(tag[1:]), tuple(terms))
 
     def parse_attribute(self):
         self.productions["attribute"] += 1
-        tok = self.peek()
-        if tok.kind in ("@", "!"):
+        kind = self.kinds[self.pos]
+        if kind in ("@", "!"):
             self.productions["logic-var-marked"] += 1
-            marker = self.advance().kind
-            name = self.expect("IDENT").text
+            marker = self.advance()
+            name = self.expect("IDENT")
             return MustDistinct(name) if marker == "!" else MayDistinct(name)
-        if tok.kind == "IDENT":
+        if kind == "IDENT":
             self.productions["logic-var"] += 1
-            return Var(self.advance().text)
+            return Var(self.advance())
         return Const(self.parse_value())
 
     def parse_value(self):
-        tok = self.peek()
-        if tok.kind == "SYMBOL":
+        kind = self.kinds[self.pos]
+        if kind == "SYMBOL":
             self.productions["value-symbol"] += 1
+            return Symbol(self.advance()[1:])
+        if kind == "INT":
+            return int(self.advance())
+        if kind == "FLOAT":
+            return float(self.advance())
+        if kind == "STRING":
+            return _unquote(self.advance())
+        if kind in ("true", "false"):
             self.advance()
-            return Symbol(tok.text[1:])
-        if tok.kind == "INT":
+            return kind == "true"
+        if kind == "-" and self.kinds[self.pos + 1] in ("INT", "FLOAT"):
             self.advance()
-            return int(tok.text)
-        if tok.kind == "FLOAT":
-            self.advance()
-            return float(tok.text)
-        if tok.kind == "STRING":
-            self.advance()
-            return _unquote(tok.text)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return tok.kind == "true"
-        if tok.kind == "-" and self.peek(1).kind in ("INT", "FLOAT"):
-            self.advance()
+            num_kind = self.kinds[self.pos]
             num = self.advance()
-            return -int(num.text) if num.kind == "INT" else -float(num.text)
-        self.fail(f"expected value, got {tok.text or 'end-of-input'!r}",
+            return -int(num) if num_kind == "INT" else -float(num)
+        self.fail(f"expected value, got {self.texts[self.pos] or 'end-of-input'!r}",
                   {"SYMBOL", "INT", "FLOAT", "STRING", "true", "false"})
 
     def parse_refinement_group(self):
@@ -356,17 +351,16 @@ class Parser:
         return out
 
     def parse_refinement(self):
-        tok = self.peek()
-        if tok.kind in ("@", "!"):
+        if self.at("@", "!"):
             self.productions["refinement-distinct"] += 1
-            marker = self.advance().kind
-            name = self.expect("IDENT").text
+            marker = self.advance()
+            name = self.expect("IDENT")
             return DistinctMark(marker, name)
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         if self.at("~>"):
             self.productions["alias-op"] += 1
             self.advance()
-            dst = self.expect("IDENT").text
+            dst = self.expect("IDENT")
             return AliasOp(name, dst)
         if self.at("="):
             self.productions["inline-guard"] += 1
@@ -386,11 +380,10 @@ class Parser:
         return ops
 
     def parse_operator(self):
-        tok = self.peek()
-        key = tok.text
-        if tok.kind != "IDENT" or key not in _OPERATOR_KEYS:
+        key = self.texts[self.pos]
+        if self.kinds[self.pos] != "IDENT" or key not in _OPERATOR_KEYS:
             self.fail(
-                f"expected operator name, got {tok.text!r} "
+                f"expected operator name, got {key!r} "
                 f"(valid operators: {', '.join(_OPERATOR_KEYS)})",
                 set(_OPERATOR_KEYS),
             )
@@ -400,33 +393,33 @@ class Parser:
         if key in ("window", "debounce"):
             dur = self.parse_time()
             return Window(dur) if key == "window" else Debounce(dur)
-        n_tok = self.expect("INT")
-        n = int(n_tok.text)
+        n_pos = self.pos
+        n = int(self.expect("INT"))
         if n <= 0:
-            raise ParseError(f"{key} requires a positive count", n_tok.line, n_tok.column)
+            raise self.error(f"{key} requires a positive count", n_pos)
         return Every(n) if key == "every" else Count(n)
 
     def parse_time(self) -> Duration:
         self.productions["time"] += 1
         self.expect("{")
-        amount_tok = self.expect("INT")
-        amount = int(amount_tok.text)
+        amount_pos = self.pos
+        amount = int(self.expect("INT"))
         if amount <= 0:
-            raise ParseError("duration must be positive", amount_tok.line, amount_tok.column)
+            raise self.error("duration must be positive", amount_pos)
         self.expect(",")
-        unit_tok = self.expect("SYMBOL")
-        unit = unit_tok.text[1:]
+        unit_pos = self.pos
+        unit = self.expect("SYMBOL")[1:]
         if unit not in TIME_UNITS:
-            raise ParseError(
+            raise self.error(
                 f"unknown time unit :{unit} (expected one of {', '.join(':' + u for u in TIME_UNITS)})",
-                unit_tok.line, unit_tok.column,
+                unit_pos,
             )
         self.expect("}")
         return Duration(amount, unit)
 
     def parse_transformer(self):
-        tok = self.peek()
-        if tok.kind == "fold":
+        kind = self.kinds[self.pos]
+        if kind == "fold":
             self.productions["transformer-fold"] += 1
             self.advance()
             self.expect("(")
@@ -435,14 +428,14 @@ class Parser:
             fn = self.parse_fold_fn()
             self.expect(")")
             return Fold(init, fn)
-        if tok.kind == "bind":
+        if kind == "bind":
             self.productions["transformer-bind"] += 1
             self.advance()
             self.expect("(")
-            name = self.expect("IDENT").text
+            name = self.expect("IDENT")
             self.expect(")")
             return Bind(name)
-        self.fail(f"expected transformer, got {tok.text!r}", {"fold", "bind"})
+        self.fail(f"expected transformer, got {self.texts[self.pos]!r}", {"fold", "bind"})
 
     def parse_fold_fn(self) -> FoldFn:
         self.expect("fn")
@@ -454,7 +447,7 @@ class Parser:
             params.append(self.parse_fold_param())
         self.expect("}")
         self.expect(",")
-        acc = self.expect("IDENT").text
+        acc = self.expect("IDENT")
         self.expect(")")
         self.expect("->")
         body = self.parse_expr()
@@ -462,7 +455,7 @@ class Parser:
         return FoldFn(tuple(params), acc, body)
 
     def parse_fold_param(self) -> str | None:
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         return None if name == "_" else name
 
     def parse_options(self) -> Options:
@@ -472,11 +465,10 @@ class Parser:
         interval = None
         debounce = None
         while True:
-            tok = self.peek()
-            key = tok.text
-            if tok.kind != "IDENT" or key not in _OPTION_KEYS:
+            key = self.texts[self.pos]
+            if self.kinds[self.pos] != "IDENT" or key not in _OPTION_KEYS:
                 self.fail(
-                    f"unknown option {tok.text!r} "
+                    f"unknown option {key!r} "
                     f"(valid options: {', '.join(_OPTION_KEYS)})",
                     set(_OPTION_KEYS),
                 )
@@ -499,11 +491,9 @@ class Parser:
         return Options(seq=seq, interval=interval, last=last, debounce=debounce)
 
     def parse_bool(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return tok.kind == "true"
-        self.fail(f"expected boolean, got {tok.text!r}", {"true", "false"})
+        if self.at("true", "false"):
+            return self.advance() == "true"
+        self.fail(f"expected boolean, got {self.texts[self.pos]!r}", {"true", "false"})
 
     # -- expressions ---------------------------------------------------------
     # or < and < not < comparison < additive < multiplicative < primary
@@ -535,34 +525,33 @@ class Parser:
     def parse_comparison(self):
         left = self.parse_additive()
         while self.at("==", "!=", "<", "<=", ">", ">="):
-            op = self.advance().kind
+            op = self.advance()
             left = BinOp(op, left, self.parse_additive())
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
         while self.at("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             left = BinOp(op, left, self.parse_multiplicative())
         return left
 
     def parse_multiplicative(self):
         left = self.parse_primary()
         while self.at("*", "/"):
-            op = self.advance().kind
+            op = self.advance()
             left = BinOp(op, left, self.parse_primary())
         return left
 
     def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "(":
+        kind = self.kinds[self.pos]
+        if kind == "(":
             self.advance()
             inner = self.nest(self.parse_or_expr)
             self.expect(")")
             return inner
-        if tok.kind == "IDENT":
-            self.advance()
-            return VarRef(tok.text)
+        if kind == "IDENT":
+            return VarRef(self.advance())
         return Lit(self.parse_value())
 
 

@@ -42,13 +42,10 @@ TraceEvent = MessageEvent | AdvanceEvent
 
 
 def decode_value(raw) -> Value:
-    if isinstance(raw, str):
-        if raw.startswith(":"):
-            return Symbol(raw[1:])
-        return raw
-    if isinstance(raw, bool):
-        return raw
-    if isinstance(raw, (int, float)):
+    kind = type(raw)  # JSON decodes to exact builtin types, so bools are not ints here
+    if kind is str:
+        return Symbol(raw[1:]) if raw[:1] == ":" else raw
+    if kind is int or kind is float or kind is bool:
         return raw
     raise ValueError(f"unsupported attribute value {raw!r}")
 
@@ -59,44 +56,59 @@ def encode_value(v: Value):
     return v
 
 
+# Lines are stripped, so a line is valid JSON exactly when raw_decode takes it
+# whole; it skips the argument checks and whitespace scans of json.loads
+_DECODER = json.JSONDecoder()
+
+
 def load_trace(text: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
+    append = events.append
+    tags: dict[str, Symbol] = {}  # one Symbol per distinct message type
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
-        if not raw or raw.startswith("#"):
+        if not raw or raw[0] == "#":
             continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise TraceError(f"invalid JSON: {err.msg}", lineno) from None
-        if not isinstance(obj, dict):
+            obj, end = _DECODER.raw_decode(raw)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(raw):  # not one JSON document: json.loads names the fault
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as err:
+                raise TraceError(f"invalid JSON: {err.msg}", lineno) from None
+        if type(obj) is not dict:
             raise TraceError("trace line must be a JSON object", lineno)
         if "advance" in obj:
             to = obj["advance"]
-            if not isinstance(to, int) or isinstance(to, bool):
+            if type(to) is not int:
                 raise TraceError("advance target must be an integer", lineno)
             if current is not None and to < current:
                 raise TraceError(f"timestamp regression at line {lineno}", lineno)
             current = to
-            events.append(AdvanceEvent(to, lineno))
+            append(AdvanceEvent(to, lineno))
             continue
         if "ts" not in obj or "type" not in obj:
             raise TraceError("message needs 'ts' and 'type'", lineno)
         ts = obj["ts"]
-        if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
+        if type(ts) is not int or ts < 0:
             raise TraceError("'ts' must be a non-negative integer (ms)", lineno)
         if current is not None and ts < current:
             raise TraceError(f"timestamp regression at line {lineno}", lineno)
         current = ts
         tag = obj["type"]
-        if not isinstance(tag, str) or not tag.startswith(":"):
+        if type(tag) is not str or tag[:1] != ":":
             raise TraceError("'type' must be a symbol string like \":motion\"", lineno)
+        type_tag = tags.get(tag)
+        if type_tag is None:
+            type_tag = tags[tag] = Symbol(tag[1:])
         try:
-            attrs = tuple(decode_value(a) for a in obj.get("attrs", []))
+            attrs = tuple(map(decode_value, obj.get("attrs", ())))
         except ValueError as err:
             raise TraceError(str(err), lineno) from None
-        events.append(MessageEvent(ts, Symbol(tag[1:]), attrs, lineno))
+        append(MessageEvent(ts, type_tag, attrs, lineno))
     return events
 
 
@@ -111,8 +123,11 @@ def output_record(match: MatchResult, reaction: str | None) -> dict:
     }
 
 
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+
+
 def record_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=True)
+    return _RECORD_ENCODER.encode(record)
 
 
 def records_for(matches, reactions_of) -> list[dict]:

@@ -101,11 +101,11 @@ def test_guard_too_deep_to_compile_exit_2(tmp_path):
     # deeper than the expression compiler can recurse
     deep = tmp_path / "chain.sprw"
     deep.write_text("pattern p as {:a, x} when " + " and ".join(["x > 1"] * 3000) + "\n")
-    trace = fixture_path("scenario6.trace.jsonl")
-    r = run_cli("run", "--patterns", str(deep), "--trace", str(trace))
-    assert r.returncode == 2, r.stderr
-    assert "ExpressionTooDeep" in r.stderr
-    assert "Traceback" not in r.stderr
+    for args in (("run", "--trace", str(fixture_path("scenario6.trace.jsonl"))), ("check",)):
+        r = run_cli(args[0], "--patterns", str(deep), *args[1:])
+        assert r.returncode == 2, r.stderr
+        assert "ExpressionTooDeep" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_trace_regression_exit_2(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from sprw.compile import compile_program
 from sprw.expand import expand
-from sprw.fuzz import run_case
+from sprw.fuzz import differential, run_case
 from sprw.fuzzgen import OP_GRID, generate_case
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
@@ -91,3 +91,14 @@ def test_diagnostics_and_match_cycles_agree_with_engine(seed, n_events, i):
     case = generate_case(seed, n_events=n_events, force_op=OP_GRID[i % len(OP_GRID)])
     ok, detail = run_case(case)
     assert ok, f"seed {seed}: {detail}\n{case.program_text}"
+
+
+@pytest.mark.parametrize("lifetime_ms", [300, 1_500, 5_000])
+def test_lifetimes_agree_with_engine(lifetime_ms):
+    # `sprw fuzz` and criterion 4 replay without a lifetime, so only this
+    # reaches the expiry heap under a lifetime and the dead-head drop of
+    # blockers across the operator grid
+    for i in range(6 * len(OP_GRID)):
+        case = generate_case(70_000 + i, force_op=OP_GRID[i % len(OP_GRID)])
+        detail = differential(compiled(case.program_text), case.trace, lifetime_ms).divergence()
+        assert not detail, f"seed {case.seed}, lifetime {lifetime_ms}: {detail}\n{case.program_text}"

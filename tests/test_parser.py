@@ -167,3 +167,64 @@ def test_grammar_production_coverage():
             totals[key] = totals.get(key, 0) + n
     missing = [key for key in EXPECTED_PRODUCTIONS if totals.get(key, 0) == 0]
     assert not missing, f"productions never fired: {missing}"
+
+
+VALUE_KINDS = ["FLOAT", "INT", "STRING", "SYMBOL", "false", "true"]
+
+# source, message, line, column, code, expected
+ERROR_SNAPSHOTS = [
+    # unexpected characters past column 1, on later lines and after comments
+    ("pattern p as {:a, x}\npattern q as {:b, y} when y $ 2",
+     "unexpected character '$'", 2, 29, "SyntaxError", []),
+    ("pattern p as {:a, x} # note ; fine\npattern q as {:b, y} ; ",
+     "unexpected character ';'", 2, 22, "SyntaxError", []),
+    ("# only a comment\n  ?", "unexpected character '?'", 2, 3, "SyntaxError", []),
+    ("pattern p as {:a, x}\n\t\tpattern q as {:a, 1.}",
+     "unexpected character '.'", 2, 22, "SyntaxError", []),
+    ("pattern p as {:a, x}\r\npattern q as {:a, y} when y ~ 1",
+     "unexpected character '~'", 2, 29, "SyntaxError", []),
+    ("pattern p as {:a, x}\xa0", "unexpected character '\\xa0'", 1, 21, "SyntaxError", []),
+    # an unterminated string is an unexpected quote
+    ('pattern p as {:a, x}\npattern q as {:b, "open}',
+     "unexpected character '\"'", 2, 19, "SyntaxError", []),
+    ('pattern p as {:a, "a\\"b}', "unexpected character '\"'", 1, 19, "SyntaxError", []),
+    # nesting limit
+    ("pattern p as {:a, x} when " + "(" * 101 + "x" + ")" * 101,
+     "expression nested more than 100 deep", 1, 128, "NestingTooDeep", []),
+    ("pattern p as {:a, x}\n  when\n" + "(" * 101 + "x" + ")" * 101,
+     "expression nested more than 100 deep", 3, 102, "NestingTooDeep", []),
+    ("pattern p as {:a, x} when " + "not " * 101 + "x",
+     "expression nested more than 100 deep", 1, 431, "NestingTooDeep", []),
+    # a duplicate is reported at the token after its definition
+    ("pattern p as {:a, x}\n\npattern p as {:b, y}",
+     "duplicate pattern 'p'", 3, 21, "DuplicatePattern", []),
+    ("pattern p as {:a, x}\n\npattern p as {:b, y} when y > 1\n# trailing\n",
+     "duplicate pattern 'p'", 5, 1, "DuplicatePattern", []),
+    # end of input inside a selector, and elsewhere
+    ("pattern p as {:a, x", "expected '}', got 'end-of-input'", 1, 20, "SyntaxError", ["}"]),
+    ("pattern p as {:a, x # open\n", "expected '}', got 'end-of-input'", 2, 1, "SyntaxError", ["}"]),
+    ("pattern p as {:a,", "expected value, got 'end-of-input'", 1, 18, "SyntaxError", VALUE_KINDS),
+    ("pattern p as {", "expected 'SYMBOL', got 'end-of-input'", 1, 15, "SyntaxError", ["SYMBOL"]),
+    ("pattern p as", "expected selector, got 'end-of-input'", 1, 13, "SyntaxError", ["IDENT", "{"]),
+    ("pattern", "expected 'IDENT', got 'end-of-input'", 1, 8, "SyntaxError", ["IDENT"]),
+    ("pattern p as {:a, x}\npattern q as {:b, y} when y > ",
+     "expected value, got 'end-of-input'", 2, 31, "SyntaxError", VALUE_KINDS),
+    ("pattern p as {:a, x}\n# c\n\tpattern q as {:b, y} when (y > 1",
+     "expected ')', got 'end-of-input'", 3, 34, "SyntaxError", [")"]),
+    # checks on values after they are lexed
+    ("pattern p as {:a, x}[count: 0]", "count requires a positive count", 1, 29, "SyntaxError", []),
+    ("pattern p as {:a, x}[window: {0, :secs}]", "duration must be positive", 1, 31, "SyntaxError", []),
+    ("pattern p as {:a, x}[every: 1, every: 2]", "duplicate operator 'every'", 1, 41, "SyntaxError", []),
+    ("pattern p as {:a, x}, options: [seq: maybe]",
+     "expected boolean, got 'maybe'", 1, 38, "SyntaxError", ["false", "true"]),
+    ("react_to p with: emit(x)", "expected ',', got 'with'", 1, 12, "SyntaxError", [","]),
+]
+
+
+@pytest.mark.parametrize("source,message,line,column,code,expected", ERROR_SNAPSHOTS)
+def test_parse_error_snapshot(source, message, line, column, code, expected):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column, err.value.code) == (line, column, code)
+    assert err.value.expected == frozenset(expected)

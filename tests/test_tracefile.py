@@ -1,0 +1,57 @@
+from __future__ import annotations
+
+import pytest
+
+from sprw.errors import TraceError
+from sprw.tracefile import AdvanceEvent, MessageEvent, load_trace
+from sprw.values import Symbol
+
+# trace text, line, message
+TRACE_ERRORS = [
+    ("not json", 1, "invalid JSON: Expecting value"),
+    ('{"ts": 1, "type": ":a", "attrs": [1,}', 1, "invalid JSON: Expecting value"),
+    ('{"ts": 1, "type": ":a"} x', 1, "invalid JSON: Extra data"),
+    ('\ufeff{"ts": 1, "type": ":a"}', 1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("[1, 2]", 1, "trace line must be a JSON object"),
+    ('"str"', 1, "trace line must be a JSON object"),
+    ('{"advance": "5"}', 1, "advance target must be an integer"),
+    ('{"advance": 1.5}', 1, "advance target must be an integer"),
+    ('{"advance": true}', 1, "advance target must be an integer"),
+    ('{"ts": 10, "type": ":a"}\n{"advance": 5}', 2, "timestamp regression at line 2"),
+    ('{"advance": 10}\n{"ts": 5, "type": ":a"}', 2, "timestamp regression at line 2"),
+    ('{"ts": 10, "type": ":a"}\n{"ts": 9, "type": ":a"}', 2, "timestamp regression at line 2"),
+    ('{"type": ":a"}', 1, "message needs 'ts' and 'type'"),
+    ('{"ts": 3}', 1, "message needs 'ts' and 'type'"),
+    ('{"ts": -1, "type": ":a"}', 1, "'ts' must be a non-negative integer (ms)"),
+    ('{"ts": true, "type": ":a"}', 1, "'ts' must be a non-negative integer (ms)"),
+    ('{"ts": 1.0, "type": ":a"}', 1, "'ts' must be a non-negative integer (ms)"),
+    ('{"ts": 1, "type": "a"}', 1, "'type' must be a symbol string like \":motion\""),
+    ('{"ts": 1, "type": [":a"]}', 1, "'type' must be a symbol string like \":motion\""),
+    ('{"ts": 1, "type": 5}', 1, "'type' must be a symbol string like \":motion\""),
+    ('{"ts": 1, "type": ":a", "attrs": [null]}', 1, "unsupported attribute value None"),
+    ('{"ts": 1, "type": ":a", "attrs": [1, [1]]}', 1, "unsupported attribute value [1]"),
+    ('{"ts": 1, "type": ":a", "attrs": [{"k": 1}]}', 1, "unsupported attribute value {'k': 1}"),
+    # blank and comment lines are skipped but still counted
+    ('\n# c\n   \n{"ts": 1, "type": ":a"}\n# x\n\n{"ts": "x", "type": ":a"}', 7,
+     "'ts' must be a non-negative integer (ms)"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", TRACE_ERRORS)
+def test_trace_error(text, line, message):
+    with pytest.raises(TraceError) as err:
+        load_trace(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_skipped_lines_keep_later_line_numbers():
+    text = (
+        '# header\n\n{"ts": 5, "type": ":a", "attrs": [":on", "s", 2, 1.5, true]}\n'
+        '   \n  # indented comment\n{"advance": 9}\n{"ts": 9, "type": ":b"}\n'
+    )
+    assert load_trace(text) == [
+        MessageEvent(5, Symbol("a"), (Symbol("on"), "s", 2, 1.5, True), 3),
+        AdvanceEvent(9, 6),
+        MessageEvent(9, Symbol("b"), (), 7),
+    ]
