@@ -7,7 +7,9 @@ textual order, candidates tried oldest-first (or newest-first under
 minimum (resp. maximum) over all valid combinations.  Accumulation
 constituents contribute a greedy policy-ordered group instead of a branch
 point.  Guards see only the single policy-selected combination: a false guard
-rejects the whole cycle without consuming anything.
+rejects the whole cycle without consuming anything.  The search is a
+module-level function over an explicit state tuple, not a closure, so an
+evaluation leaves no reference cycle: reference counting frees all of it.
 
 Optional inputs, which only the engine passes, narrow the search without
 changing its result.  A ``lookup`` callback returns a keyed slot's
@@ -169,73 +171,17 @@ def _select(
     """The policy-selected pre-guard combination: (groups, env), where groups
     maps each positive's cons_index to its members, (ts, seq) ascending; or
     None when there is none."""
-    positives = alt.positives
-    negated = bool(alt.negatives)
     groups: dict[int, list[Message]] = {}
     used: set[int] = set()
-    # delta search: position seed_at holds only seed, and the positions
-    # before it only messages at or below the watermark
-    seed_at = -1
-    seed: list[Message] = []
-
-    def dfs(i, env, distinct, prev_key, min_ts, max_ts):
-        if i == len(positives):
-            if not negated or _negations_ok(
-                alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible
-            ):
-                return env
-            return None
-        cons = positives[i]
-        if i == seed_at:
-            cands = seed
-        elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
-            cands = lookup(a_idx, cons.cons_index, cons.probe_key(env))
-            if i < seed_at:
-                cands = [m for m in cands if m.seq <= watermark]
-        else:
-            cands = get_candidates(a_idx, cons.cons_index)
-        if cons.accumulates:
-            built = _build_group(cons, cp, cands, env, distinct, used, now, eligible)
-            if built is None:
-                return None
-            group, env2, distinct2 = built
-            ok, nkey, nmin, nmax = _order_ok(cp, group, prev_key, min_ts, max_ts)
-            if not ok:
-                return None
-            groups[cons.cons_index] = group
-            used.update(m.id for m in group)
-            hit = dfs(i + 1, env2, distinct2, nkey, nmin, nmax)
-            if hit is not None:
-                return hit
-            used.difference_update(m.id for m in group)
-            del groups[cons.cons_index]
-            return None
-        bind_terms = cons.bind_terms
-        for m in (reversed(cands) if cp.last else cands):
-            if m.id in used or eligible is not None and not eligible(m):
-                continue
-            r = extend_env(bind_terms, m, env, distinct)
-            if r is None:
-                continue
-            ok, nkey, nmin, nmax = _order_ok(cp, (m,), prev_key, min_ts, max_ts)
-            if not ok:
-                continue
-            groups[cons.cons_index] = [m]
-            used.add(m.id)
-            hit = dfs(i + 1, r[0], r[1], nkey, nmin, nmax)
-            if hit is not None:
-                return hit
-            used.discard(m.id)
-            del groups[cons.cons_index]
-        return None
-
+    fixed = (cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup, groups, used)
     if watermark is None or lookup is None or not alt.delta:
-        env = dfs(0, {}, {}, None, None, None)
+        env = _search(fixed + (-1, None, None), 0, {}, {}, None, None, None)
         return None if env is None else (groups, env)
 
     # Every valid combination holds a message above the watermark; the first
     # position holding one is its seed slot j, and searching each slot's new
     # messages as seeds finds each such combination exactly once.
+    positives = alt.positives
     best = best_key = None
     for j, cons in enumerate(positives):
         cands = get_candidates(a_idx, cons.cons_index)
@@ -251,8 +197,7 @@ def _select(
                 if r is None:
                     continue
                 env = r[0]
-            seed_at, seed = j, [m]
-            hit = dfs(0, env, {}, None, None, None)
+            hit = _search(fixed + (j, (m,), watermark), 0, env, {}, None, None, None)
             if hit is None:
                 continue
             key = tuple(groups[c.cons_index][0].seq for c in positives)
@@ -262,6 +207,66 @@ def _select(
             groups.clear()
             used.clear()
     return best
+
+
+def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
+    """:func:`_select`'s depth-first search from positive ``i`` on: the env
+    of the first complete combination, or None.  ``state`` is what stays
+    fixed during one search; a delta search puts only its seed at position
+    ``seed_at`` (-1 in a full search), and before it only messages at or
+    below ``watermark``."""
+    (cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup,
+     groups, used, seed_at, seed, watermark) = state
+    positives = alt.positives
+    if i == len(positives):
+        if not alt.negatives or _negations_ok(
+            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible
+        ):
+            return env
+        return None
+    cons = positives[i]
+    if i == seed_at:
+        cands = seed
+    elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
+        cands = lookup(a_idx, cons.cons_index, cons.probe_key(env))
+        if i < seed_at:
+            cands = [m for m in cands if m.seq <= watermark]
+    else:
+        cands = get_candidates(a_idx, cons.cons_index)
+    if cons.accumulates:
+        built = _build_group(cons, cp, cands, env, distinct, used, now, eligible)
+        if built is None:
+            return None
+        group, env2, distinct2 = built
+        ok, nkey, nmin, nmax = _order_ok(cp, group, prev_key, min_ts, max_ts)
+        if not ok:
+            return None
+        groups[cons.cons_index] = group
+        used.update(m.id for m in group)
+        hit = _search(state, i + 1, env2, distinct2, nkey, nmin, nmax)
+        if hit is not None:
+            return hit
+        used.difference_update(m.id for m in group)
+        del groups[cons.cons_index]
+        return None
+    bind_terms = cons.bind_terms
+    for m in (reversed(cands) if cp.last else cands):
+        if m.id in used or eligible is not None and not eligible(m):
+            continue
+        r = extend_env(bind_terms, m, env, distinct)
+        if r is None:
+            continue
+        ok, nkey, nmin, nmax = _order_ok(cp, (m,), prev_key, min_ts, max_ts)
+        if not ok:
+            continue
+        groups[cons.cons_index] = [m]
+        used.add(m.id)
+        hit = _search(state, i + 1, r[0], r[1], nkey, nmin, nmax)
+        if hit is not None:
+            return hit
+        used.discard(m.id)
+        del groups[cons.cons_index]
+    return None
 
 
 def _order_ok(cp, members, prev_key, min_ts, max_ts):

@@ -45,8 +45,9 @@ class CompiledConstituent:
     debounce_ms: int | None
     transformers: Callable | None  # the compiled fold/bind chain
     accumulates: bool  # count or window: the slot contributes a greedy group
-    # (type tag name, arity, constant tests as (attr index, value), every_n,
-    # debounce_ms): constituents with equal keys share one alpha node
+    # (type tag name, arity, constant tests as (attr index, type, value),
+    # every_n, debounce_ms): constituents with equal keys share one alpha
+    # node; the type keeps 1, 1.0 and True apart, as values_equal does
     alpha_key: tuple = ()
     # non-constant terms as (attr index, name, kind 0=var/1=must-distinct);
     # constant tests are already guaranteed by the alpha node, and
@@ -216,7 +217,8 @@ def compile_program(program: Program) -> CompiledProgram:
                             _closure(compile_transformers, leaf.transformers, past.name)
                             if leaf.transformers else None
                         ),
-                        alpha_key=(selector.type_tag.name, len(selector.terms), tuple(const_tests),
+                        alpha_key=(selector.type_tag.name, len(selector.terms),
+                                   tuple((pos, type(v), v) for pos, v in const_tests),
                                    every_n, debounce_ms),
                         bind_terms=tuple(bind_terms),
                         needs_local_check=len(var_names) != len(set(var_names)),
@@ -245,7 +247,8 @@ def compile_program(program: Program) -> CompiledProgram:
                 key = cons.alpha_key
                 spec = alphas.get(key)
                 if spec is None:
-                    tag_name, arity, const_tests, every_n, debounce_ms = key
+                    tag_name, arity, typed_tests, every_n, debounce_ms = key
+                    const_tests = tuple((pos, v) for pos, _, v in typed_tests)
                     spec = alphas[key] = AlphaSpec(
                         key, cons.selector.type_tag, arity, const_tests, every_n, debounce_ms
                     )
@@ -437,6 +440,6 @@ def _retention_bounds(patterns: list[CompiledPattern]) -> dict[str, int | None]:
                 prev = bounds.get(tag)
                 if prev is None or b > prev:
                     bounds[tag] = b
-    for tag in unbounded:
+    for tag in sorted(unbounded):  # a set's order varies with the hash seed
         bounds[tag] = None
     return bounds

@@ -41,8 +41,9 @@ candidates those are:
   ``now``.  So once an evaluation finds no combination, the pattern's
   watermark records the ``seq`` of the last routed message, and later
   evaluations search only combinations holding a newer message, seeded from
-  each slot's new arrivals.  Consumption, a guard rejection, a diagnostic
-  and gc clear the watermark, and the next evaluation searches in full.
+  each slot's new arrivals.  Consumption keeps the watermark, as removing
+  messages creates no combination at or below it.  A guard rejection, a
+  diagnostic and gc clear it, and the next evaluation searches in full.
 * A windowed negation rejects a combination until its window has passed
   since the combination's newest message.  So a plain positive beside
   windowed negatives yields only its settled messages, those at least as old
@@ -53,6 +54,9 @@ candidates those are:
 * A readiness gate skips the evaluation unless some alternative can fill
   each positive slot: the slot holds a settled message, and at least as
   many messages as a count group there needs (its ``min_group``).
+
+The slot callbacks read the clock from a one-element list, not from the
+Network, so a Network holds no reference cycle and reference counting frees it.
 
 A Network is single-writer: insert/advance_time/gc must be serialised by the
 owning context.  Returned results are immutable and may be shared freely.
@@ -122,6 +126,8 @@ class Network:
         self._watermark: list[int | None] = [None] * len(compiled.patterns)
         # per pattern: its _slot_callbacks, built on its first evaluation
         self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
+        # [the clock of the current evaluation], for the slot callbacks
+        self._now = [0]
         # per routed alpha node (by id): its targets as (pattern, slot,
         # constituent, store, timers, death), built on the node's first message
         self._routes: dict[int, tuple] = {}
@@ -248,6 +254,7 @@ class Network:
         out: list[MatchResult] = []
         if not agenda:
             return out
+        self._now[0] = now
         patterns = self.cp.patterns
         buffers = self.buffers
         watermark = self._watermark
@@ -308,6 +315,7 @@ class Network:
         windowed negatives yields only its messages at least ``settle_ms``
         old, the only ones that can join a valid combination yet."""
         index = self.index
+        clock = self._now
         # per alternative, per constituent: (store, slot, constituent, bound,
         # mortal, settle), where bound is the expiry bound of the slot's type
         # and mortal says whether the slot can hold a dead message that its
@@ -327,13 +335,20 @@ class Network:
             """The slot's buffer with its dead head dropped (index too)."""
             store, slot, cons, bound, mortal, _ = view
             buf = store.get(slot, _EMPTY)
-            if mortal and buf and dead_forever(buf[0], cons, bound, self.clock):
-                now = self.clock
+            if mortal and buf and dead_forever(buf[0], cons, bound, clock[0]):
+                now = clock[0]
                 drop = 1
                 while drop < len(buf) and dead_forever(buf[drop], cons, bound, now):
                     drop += 1
                 if cons.join_key:
-                    self._unindex_heads(slot, cons, buf[:drop])
+                    # each dropped message heads its bucket, which keeps buffer order
+                    keys = index[slot]
+                    for m in buf[:drop]:
+                        key = cons.message_key(m)
+                        bucket = keys[key]
+                        del bucket[0]
+                        if not bucket:
+                            del keys[key]
                 del buf[:drop]
             return buf
 
@@ -341,7 +356,7 @@ class Network:
             view = views[a_idx][c_idx]
             buf = live(view)
             settle = view[5]
-            return buf if settle is None or not buf else _settled(buf, self.clock - settle)
+            return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
 
         def get_blockers(a_idx, c_idx):
             return live(views[a_idx][c_idx])
@@ -351,7 +366,7 @@ class Network:
             live(view)
             slot, settle = view[1], view[5]
             bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
-            return bucket if settle is None else _settled(bucket, self.clock - settle)
+            return bucket if settle is None else _settled(bucket, clock[0] - settle)
 
         keyed = any(c.join_key for alt in cp.alternatives for c in alt.positives)
         return get_candidates, get_blockers, lookup if keyed else None
@@ -375,7 +390,7 @@ class Network:
                         removed = True
                 if removed and cons.join_key:
                     self._reindex(cons.slot)
-        self._watermark[p_idx] = None
+        # the watermark stays: removing messages creates no combination
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
             self._schedule(result.at + cp.debounce_ms + 1, p_idx, None)
@@ -387,17 +402,6 @@ class Network:
         for m in self.buffers[slot]:
             index.setdefault(cons.message_key(m), []).append(m)
         self.index[slot] = index
-
-    def _unindex_heads(self, slot, cons, dropped: list[Message]) -> None:
-        """Remove a keyed slot's dropped buffer head from its index: each
-        dropped message heads its bucket, as buckets keep buffer order."""
-        index = self.index[slot]
-        for m in dropped:
-            key = cons.message_key(m)
-            bucket = index[key]
-            del bucket[0]
-            if not bucket:
-                del index[key]
 
     def _pattern_fingerprint(self, cp: CompiledPattern, now: int):
         """Live buffer contents for the guard-no-consume invariant check.

@@ -59,6 +59,7 @@ def encode_value(v: Value):
 # Lines are stripped, so a line is valid JSON exactly when raw_decode takes it
 # whole; it skips the argument checks and whitespace scans of json.loads
 _DECODER = json.JSONDecoder()
+_NO_ATTRS: list = []  # a message without "attrs" has none
 
 
 def load_trace(text: str) -> list[TraceEvent]:
@@ -104,8 +105,11 @@ def load_trace(text: str) -> list[TraceEvent]:
         type_tag = tags.get(tag)
         if type_tag is None:
             type_tag = tags[tag] = Symbol(tag[1:])
+        raw_attrs = obj.get("attrs", _NO_ATTRS)
+        if type(raw_attrs) is not list:
+            raise TraceError("'attrs' must be a list", lineno)
         try:
-            attrs = tuple(map(decode_value, obj.get("attrs", ())))
+            attrs = tuple(map(decode_value, raw_attrs))
         except ValueError as err:
             raise TraceError(str(err), lineno) from None
         append(MessageEvent(ts, type_tag, attrs, lineno))

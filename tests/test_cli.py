@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,11 +10,12 @@ import pytest
 from conftest import CORPUS_DIR, fixture_path
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "sprw.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -116,6 +118,49 @@ def test_trace_regression_exit_2(tmp_path):
     r = run_cli("run", "--patterns", str(fixture_path("scenario6.sprw")), "--trace", str(trace))
     assert r.returncode == 2
     assert "timestamp regression at line 2" in r.stderr
+
+
+def test_trace_attrs_not_a_list_exit_2(tmp_path):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"ts": 1, "type": ":a", "attrs": [1]}\n{"ts": 2, "type": ":a", "attrs": 5}\n')
+    r = run_cli("run", "--patterns", str(fixture_path("scenario6.sprw")), "--trace", str(trace))
+    assert r.returncode == 2
+    assert "line 2: 'attrs' must be a list" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_constant_tests_keep_one_and_true_apart(tmp_path):
+    # 1 == True in Python, but not under values_equal: the two constituents
+    # must not share an alpha node
+    patterns = tmp_path / "p.sprw"
+    patterns.write_text("pattern one as {:a, 1}\npattern yes as {:a, true}\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"ts": 1, "type": ":a", "attrs": [true]}\n{"ts": 2, "type": ":a", "attrs": [1]}\n')
+    args = ("--patterns", str(patterns), "--trace", str(trace))
+    r = run_cli("run", *args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        '{"at":1,"pattern":"yes","reaction":null,"messageIds":[1],"bindings":{},"intermediates":{}}\n'
+        '{"at":2,"pattern":"one","reaction":null,"messageIds":[2],"bindings":{},"intermediates":{}}\n'
+    )
+    r = run_cli("oracle", *args, "--diff")
+    assert r.returncode == 0
+    assert "identical (2 records)" in r.stdout
+
+
+def test_retention_warnings_do_not_depend_on_the_hash_seed():
+    args = (
+        "run",
+        "--patterns", str(fixture_path("scenario1.sprw")),
+        "--trace", str(fixture_path("scenario1.trace.jsonl")),
+    )
+    # string hashing under these seeds orders {"amb_light", "motion"} differently
+    first, second = (run_cli(*args, env={**os.environ, "PYTHONHASHSEED": seed}) for seed in "12")
+    assert first.returncode == second.returncode == 0
+    assert first.stderr == second.stderr == (
+        "warning: messages of type :amb_light are retained until consumed\n"
+        "warning: messages of type :motion are retained until consumed\n"
+    )
 
 
 def test_check_reports_shared_variables_fig9():

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
 import sprw.engine
+from sprw.cli import run_records
 from sprw.compile import compile_program
 from sprw.engine import Network
 from sprw.errors import CompileError, TimeRegression
 from sprw.expand import expand
 from sprw.fuzz import differential
+from sprw.oracle import oracle_run
 from sprw.parser import parse_program
 from sprw.tracefile import AdvanceEvent, MessageEvent
 from sprw.values import Symbol
 
 from conftest import corpus_text
+from test_acceptance import _perf_events, _perf_program
 
 
 def build(text, lifetime_ms=None, **kwargs):
@@ -383,3 +389,48 @@ class TestGc:
         feed(net, "a", (1,), 0)
         assert seen and all(same for _, same in seen)
         assert net.buffered_total() == 1
+
+
+INTERVAL_JOINS = (
+    "pattern pair as {:a, x, p} and {:b, x, q}, options: [interval: {3, :secs}]\n"
+    "pattern triple as {:c, x, _} and {:d, x, _} and {:e, x, _}, "
+    "options: [interval: {3, :secs}]\n"
+    "react_to pair, with: emit(paired)\n"
+)
+
+
+def _interval_join_events(n):
+    rng = random.Random(7)
+    for i in range(n):
+        tag = "abcde"[i % 5]
+        if tag in "ab":
+            attrs = (rng.randrange(60), rng.randrange(1000))
+        else:
+            attrs = (rng.randrange(8), rng.randrange(2))
+        yield MessageEvent(i * 20, Symbol(tag), attrs)
+
+
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        (_perf_program(), [*_perf_events(1000), AdvanceEvent(20_000)]),
+        (INTERVAL_JOINS, [*_interval_join_events(1000), AdvanceEvent(30_000)]),
+    ],
+    ids=["criterion7", "interval_joins"],
+)
+def test_replay_and_oracle_leave_no_cyclic_garbage(text, events):
+    # everything the engine, the shared search and the oracle drop is freed
+    # by reference counting, so no collection has anything to find
+    gc.collect()
+    gc.disable()
+    try:
+        lines, diagnostics, cell = run_records(parse_program(text), events)
+        oracle = oracle_run(cell.compiled, events)
+        matched = len(cell.matches_log)
+        assert gc.collect() == 0
+        del cell
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not diagnostics and lines
+    assert matched == len(oracle.results) > 10

@@ -201,22 +201,25 @@ def test_timer_group_due_at_an_arrival_sees_the_arrival():
     ]
 
 
-def _extend_env_calls_per_message(buffered: int, measured: int = 100) -> float:
+def _extend_env_calls_per_message(buffered: int, measured: int = 100, match_every: int = 0) -> float:
     """Calls per message once `buffered` messages whose keys never meet wait
-    in `{:a, x, p} and {:b, x, q}`."""
+    in `{:a, x, p} and {:b, x, q}`.  With `match_every`, every such measured
+    message is instead a {:b} joining the {:a} just before it."""
     compiled = compile_program(expand(parse_program(
         "pattern j as {:a, x, p} and {:b, x, q}"
     )))
     net = Network(compiled)
 
     def feed(n):
+        if match_every and n >= buffered and n % match_every == 0:
+            return net.ingest(Symbol("b"), (n - 1, 0), n)[1]
         tag, key = ("a", n) if n % 2 else ("b", -n)
-        net.ingest(Symbol(tag), (key, 0), n)
+        return net.ingest(Symbol(tag), (key, 0), n)[1]
 
     for n in range(buffered):
         feed(n)
     assert net.buffered_total() == buffered
-    calls = 0
+    calls = matches = 0
 
     def counting(*args):
         nonlocal calls
@@ -226,9 +229,10 @@ def _extend_env_calls_per_message(buffered: int, measured: int = 100) -> float:
     sprw.combine.extend_env = counting
     try:
         for n in range(buffered, buffered + measured):
-            feed(n)
+            matches += len(feed(n))
     finally:
         sprw.combine.extend_env = extend_env
+    assert matches == (measured // match_every if match_every else 0)
     return calls / measured
 
 
@@ -237,3 +241,11 @@ def test_join_cost_per_message_does_not_grow_with_buffered():
     large = _extend_env_calls_per_message(1_600)
     assert small == large
     assert small <= 2
+
+
+def test_join_cost_after_a_match_does_not_grow_with_buffered():
+    # consumption keeps the watermark, so the evaluation after a match
+    # searches only the new arrivals, not the whole buffer again
+    small = _extend_env_calls_per_message(400, match_every=10)
+    large = _extend_env_calls_per_message(1_600, match_every=10)
+    assert large <= 2 * small
