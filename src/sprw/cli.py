@@ -167,6 +167,12 @@ def _cmd_check(args) -> int:
             f"{compiled.patterns[p].name}#{cons.cons_index + 1}" for p, _, cons in spec.targets
         )
         print(f"  :{spec.type_tag.name}/{spec.arity} [{tests}]{suffix} -> {users}")
+    consumed = {c.selector.type_tag.name
+                for cp in compiled.patterns for alt in cp.alternatives for c in alt.positives}
+    for tag, bound in compiled.retention_ms.items():
+        if bound is None and tag not in consumed:
+            print(f"warning: messages of type :{tag} are only negated, without a window: "
+                  "nothing consumes them, so without a lifetime they accumulate", file=sys.stderr)
     return 0
 
 

@@ -12,15 +12,15 @@ module-level function over an explicit state tuple, not a closure, so an
 evaluation leaves no reference cycle: reference counting frees all of it.
 
 Optional inputs, which only the engine passes, narrow the search without
-changing its result.  A ``lookup`` callback returns a keyed slot's
-candidates whose join key equals the environment's, a superset of those
-that can unify.  A ``watermark`` promises that no valid combination of
-messages with ``seq`` at or below it exists; on a delta alternative the same
-search then runs once per seed slot over the combinations holding a newer
-message, and the policy-least (or greatest) of their hits is the answer.  An
-``eligible`` of None promises that every message the callbacks yield is
-eligible, so the predicate is skipped.  Every candidate still passes the
-same unification, ordering and negation checks.
+changing its result.  A ``lookup`` callback returns a keyed slot's messages
+whose join key equals the environment's, a superset of those that can unify:
+a join step's candidates, or a negation's blockers.  A ``watermark`` promises
+that no valid combination of messages with ``seq`` at or below it exists; on
+a delta alternative the same search then runs once per seed slot over the
+combinations holding a newer message, and the policy-least (or greatest) of
+their hits is the answer.  An ``eligible`` of None promises that every
+message the callbacks yield is eligible, so the predicate is skipped.  Every
+message still passes the same unification, ordering and negation checks.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ def evaluate_pattern(
     constituents.  ``eligible(msg)`` applies the retention/lifetime predicate;
     None means that every message both callbacks yield is eligible at ``now``.
     ``lookup(alt_idx, cons_index, key)``, when given, yields a keyed slot's
-    candidates with that join key, in the same order.  ``watermark``, when
-    given with ``lookup``, restricts delta alternatives to combinations that
-    hold a message with a greater ``seq``.
+    candidates or blockers with that join key, in the same order.
+    ``watermark``, when given with ``lookup``, restricts delta alternatives to
+    combinations that hold a message with a greater ``seq``.
     At most one match is produced (single pattern selection).
     """
     for a_idx, alt in enumerate(cp.alternatives):
         if len(alt.positives) == 1:
-            sel = _select_one(cp, alt, a_idx, get_candidates, get_blockers, now, eligible)
+            sel = _select_one(cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup)
         else:
             sel = _select(
                 cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup, watermark
@@ -122,6 +122,7 @@ def _select_one(
     get_blockers,
     now: int,
     eligible,
+    lookup,
 ) -> tuple | None:
     """:func:`_select` for an alternative with a single positive, where there
     is no join to search: the first eligible candidate in policy order that
@@ -137,7 +138,7 @@ def _select_one(
         group, env, distinct = built
         ok, _, _, max_ts = _order_ok(cp, group, None, None, None)
         if not ok or negated and not _negations_ok(
-            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible
+            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup
         ):
             return None
         return {c_idx: group}, env
@@ -150,7 +151,7 @@ def _select_one(
             continue
         # a single message always satisfies seq and interval
         if negated and not _negations_ok(
-            alt, a_idx, get_blockers, r[0], r[1], now, m.ts, eligible
+            alt, a_idx, get_blockers, r[0], r[1], now, m.ts, eligible, lookup
         ):
             continue
         return {c_idx: [m]}, r[0]
@@ -220,7 +221,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     positives = alt.positives
     if i == len(positives):
         if not alt.negatives or _negations_ok(
-            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible
+            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup
         ):
             return env
         return None
@@ -329,12 +330,16 @@ def _build_group(
     return acc, env, distinct
 
 
-def _negations_ok(alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible) -> bool:
+def _negations_ok(alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup) -> bool:
     for cons in alt.negatives:
         w = cons.window_ms
         if w is not None and now < max_ts + w:
             return False  # the absence window has not fully elapsed yet
-        for m in get_blockers(a_idx, cons.cons_index):
+        if lookup is not None and cons.join_key:
+            blockers = lookup(a_idx, cons.cons_index, cons.probe_key(env))
+        else:
+            blockers = get_blockers(a_idx, cons.cons_index)
+        for m in blockers:
             if eligible is not None and not eligible(m):
                 continue
             if w is not None:

@@ -57,10 +57,11 @@ class CompiledConstituent:
     # age past which a buffered candidate provably cannot join any future
     # combination (pattern interval plus the tightest partner window)
     slot_bound_ms: int | None = None
-    # plain positives only: the variables shared with the alternative's other
-    # positives, as (attr index, name) per position.  Non-empty means the slot
-    # keeps a hash index on these values, so a join step can fetch just the
-    # candidates whose key agrees with the environment, not the whole buffer
+    # a plain positive's variables shared with the alternative's other
+    # positives, or a negative's variables the positives bind, as (attr index,
+    # name) per position.  Non-empty means the slot keeps a hash index on
+    # these values, so a join step or a negation fetches just the messages
+    # whose key agrees with the environment, not the whole buffer
     join_key: tuple[tuple[int, str], ...] = ()
     # the positives before this one bind the whole key, so a search in
     # textual order can probe the index here
@@ -143,18 +144,35 @@ class CompiledProgram:
     source: Program
 
 
-def _dnf(body: Body) -> list[list[ElemPattern]]:
+# the most alternatives a pattern's disjunctive normal form (DNF) may have
+MAX_ALTERNATIVES = 1024
+
+
+def _dnf(body: Body, name: str) -> list[list[ElemPattern]]:
+    """The alternatives of pattern ``name``'s ``body``: a sum over ``or`` and
+    a product over ``and``.  A sum is counted as each part joins it and a
+    product before it is built, so a pattern past MAX_ALTERNATIVES fails fast."""
     if isinstance(body, ElemPattern):
         return [[body]]
     if isinstance(body, OrGroup):
         out: list[list[ElemPattern]] = []
         for alt in body.alts:
-            out.extend(_dnf(alt))
+            out.extend(_dnf(alt, name))
+            if len(out) > MAX_ALTERNATIVES:
+                raise _dnf_too_large(name)
         return out
     combos: list[list[ElemPattern]] = [[]]
     for part in body.parts:
-        combos = [c + alt for c in combos for alt in _dnf(part)]
+        alts = _dnf(part, name)
+        if len(combos) * len(alts) > MAX_ALTERNATIVES:
+            raise _dnf_too_large(name)
+        combos = [c + alt for c in combos for alt in alts]
     return combos
+
+
+def _dnf_too_large(name: str) -> CompileError:
+    return CompileError("DnfTooLarge",
+                        f"pattern {name!r} has more than {MAX_ALTERNATIVES} alternatives")
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -166,7 +184,7 @@ def compile_program(program: Program) -> CompiledProgram:
 
     for p_idx, past in enumerate(program.patterns):
         alternatives: list[CompiledAlternative] = []
-        for a_idx, leaves in enumerate(_dnf(past.body)):
+        for a_idx, leaves in enumerate(_dnf(past.body, past.name)):
             constituents: list[CompiledConstituent] = []
             for c_idx, leaf in enumerate(leaves):
                 if isinstance(leaf.base, NamedRef):
@@ -241,6 +259,12 @@ def compile_program(program: Program) -> CompiledProgram:
                     f"pattern {past.name!r} has an alternative with no positive constituent",
                 )
             _plan_joins(alt, join_plans)
+            if alt.negatives:  # each negative is keyed on what the positives bind
+                bound = {name for c in alt.positives
+                         for _, name, kind in c.bind_terms if kind == 0}
+                for neg in alt.negatives:
+                    neg.join_key = tuple([(pos, name) for pos, name, kind in neg.bind_terms
+                                          if kind == 0 and name in bound])
             alternatives.append(alt)
 
             for cons in constituents:

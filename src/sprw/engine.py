@@ -17,8 +17,11 @@ evaluation of it misses too.  A diagnostic keeps it on, so the diagnostic
 repeats every cycle, as in the oracle.  Retention and lifetime deaths are the
 only moves no timer announces: a routed message whose ``bound``, the lower of
 the lifetime and its type's retention, is finite puts ``(ts + bound + 1,
-pattern)`` on an expiry heap that every cycle first drains into the agenda.  A death never starts a cycle, as the oracle never
-evaluates at one.
+pattern)`` on an expiry heap that every cycle first drains.  A death only
+removes combinations, so it wakes only patterns it can change: one whose
+alternatives are all delta and whose watermark is set (see below) only drops
+its slots' dead heads; any other goes on the agenda.  A death never starts a
+cycle, as the oracle never evaluates at one.
 
 Every evaluation runs the decision procedure shared with the brute-force oracle
 (:mod:`sprw.combine`), which re-checks windows, negation clearance,
@@ -31,19 +34,20 @@ candidates those are:
   suffices, for candidates and blockers alike.  The engine passes no
   eligibility predicate.
 * A plain positive slot keyed on the variables it shares with the other
-  positives keeps an index from key values to its messages, in buffer order.
-  Routing appends to it, the dead-head drop trims it, and consumption and
-  gc rebuild it, so a join step fetches one bucket instead of the buffer.
+  positives, and a negated slot keyed on its variables the positives bind,
+  keep an index from key values to their messages, in buffer order.  Routing
+  appends to it; the dead-head drop, window trims, consumption and gc edit
+  its buckets in place.  So a join step, or a negation, fetches one bucket.
 * On a delta alternative (no negation, every positive plain and keyed on the
   same variables) a combination of buffered messages can only lose validity
   as time passes: retention, lifetime and dead-message expiry only remove
   candidates, and unification, ``seq`` and ``interval`` do not depend on
-  ``now``.  So once an evaluation finds no combination, the pattern's
-  watermark records the ``seq`` of the last routed message, and later
-  evaluations search only combinations holding a newer message, seeded from
-  each slot's new arrivals.  Consumption keeps the watermark, as removing
-  messages creates no combination at or below it.  A guard rejection, a
-  diagnostic and gc clear it, and the next evaluation searches in full.
+  ``now``.  So once an evaluation or the readiness gate finds no
+  combination, the watermark records the ``seq`` of the last routed message,
+  and later evaluations search only combinations holding a newer message,
+  seeded from each slot's new arrivals.  Consumption keeps the watermark, as
+  removing messages creates no combination at or below it.  A guard
+  rejection, a diagnostic and gc clear it; the next evaluation searches in full.
 * A windowed negation rejects a combination until its window has passed
   since the combination's newest message.  So a plain positive beside
   windowed negatives yields only its settled messages, those at least as old
@@ -124,7 +128,7 @@ class Network:
         # per pattern: seq of the last routed message at an evaluation that
         # found no combination, or None when the next one must search in full
         self._watermark: list[int | None] = [None] * len(compiled.patterns)
-        # per pattern: its _slot_callbacks, built on its first evaluation
+        # per pattern: its _slot_callbacks, built on its first use
         self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
         # [the clock of the current evaluation], for the slot callbacks
         self._now = [0]
@@ -237,7 +241,7 @@ class Network:
                 # ts ascending: the expired messages are a prefix
                 expired = bisect_right(buf, due - cons.window_ms, key=_TS) if buf else 0
                 if expired:
-                    del buf[:expired]
+                    _drop_heads(buf, expired, cons, self.index)
                     agenda.add(p_idx)
             self.clock = due
             results.extend(self._eval_pass())
@@ -247,18 +251,26 @@ class Network:
         """One match-cycle at the current clock over the agenda."""
         now = self.clock
         self.cycle += 1
+        self._now[0] = now
         agenda = self._agenda
+        watermark = self._watermark
+        patterns = self.cp.patterns
+        callbacks = self._callbacks
         expiries = self._expiries
         while expiries and expiries[0][0] <= now:
-            agenda.add(heappop(expiries)[1])
+            p_idx = heappop(expiries)[1]
+            if p_idx in agenda:
+                continue  # this cycle examines it anyway
+            # a death only removes combinations: a delta pattern whose last
+            # evaluation found none still finds none, so only its heads go
+            if watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives):
+                agenda.add(p_idx)
+            else:
+                (callbacks[p_idx] or self._slot_callbacks(patterns[p_idx]))[3]()
         out: list[MatchResult] = []
         if not agenda:
             return out
-        self._now[0] = now
-        patterns = self.cp.patterns
         buffers = self.buffers
-        watermark = self._watermark
-        callbacks = self._callbacks
         for p_idx in sorted(agenda):
             cp = patterns[p_idx]
             if cp.debounce_ms is not None:
@@ -277,12 +289,12 @@ class Network:
                 else:
                     break
             else:
+                # no combination exists, as after a miss
+                watermark[p_idx] = self.last_seq
                 agenda.discard(p_idx)
                 continue
 
-            if callbacks[p_idx] is None:
-                callbacks[p_idx] = self._slot_callbacks(cp)
-            get_candidates, get_blockers, lookup = callbacks[p_idx]
+            get_candidates, get_blockers, lookup, _ = callbacks[p_idx] or self._slot_callbacks(cp)
             fp_before = self._pattern_fingerprint(cp, now) if self.on_guard_false else None
             # every candidate and blocker the callbacks yield is eligible, so
             # the engine passes no eligibility predicate
@@ -306,8 +318,9 @@ class Network:
 
     def _slot_callbacks(self, cp: CompiledPattern):
         """The decision procedure's view of one pattern's slots at the
-        current clock: (get_candidates, get_blockers, lookup), where lookup
-        is None unless some positive is keyed.
+        current clock: (get_candidates, get_blockers, lookup, drop_dead),
+        where lookup is None unless some constituent is keyed, and drop_dead
+        drops the dead head of every slot; built once per pattern.
 
         Every message they yield that the decision procedure can use is
         eligible: each slot follows a dropped dead head, as eligibility fails
@@ -340,16 +353,7 @@ class Network:
                 drop = 1
                 while drop < len(buf) and dead_forever(buf[drop], cons, bound, now):
                     drop += 1
-                if cons.join_key:
-                    # each dropped message heads its bucket, which keeps buffer order
-                    keys = index[slot]
-                    for m in buf[:drop]:
-                        key = cons.message_key(m)
-                        bucket = keys[key]
-                        del bucket[0]
-                        if not bucket:
-                            del keys[key]
-                del buf[:drop]
+                _drop_heads(buf, drop, cons, index)
             return buf
 
         def get_candidates(a_idx, c_idx):
@@ -368,8 +372,15 @@ class Network:
             bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
             return bucket if settle is None else _settled(bucket, clock[0] - settle)
 
-        keyed = any(c.join_key for alt in cp.alternatives for c in alt.positives)
-        return get_candidates, get_blockers, lookup if keyed else None
+        def drop_dead():
+            for view in [v for alt_views in views for v in alt_views]:
+                live(view)
+
+        keyed = any(c.join_key for alt in cp.alternatives for c in alt.constituents)
+        built = self._callbacks[cp.index] = (
+            get_candidates, get_blockers, lookup if keyed else None, drop_dead
+        )
+        return built
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
@@ -381,27 +392,22 @@ class Network:
                 buf = buffers.get(cons.slot)
                 if not buf:
                     continue
-                # buffers ascend in seq: find each consumed message by bisection
-                removed = False
+                # buffers and buckets ascend in seq: find each message by bisection
                 for m in msgs:
                     i = bisect_left(buf, m.seq, key=_SEQ)
                     if i < len(buf) and buf[i] is m:
                         del buf[i]
-                        removed = True
-                if removed and cons.join_key:
-                    self._reindex(cons.slot)
+                        if cons.join_key:
+                            keys = self.index[cons.slot]
+                            key = cons.message_key(m)
+                            bucket = keys[key]
+                            del bucket[bisect_left(bucket, m.seq, key=_SEQ)]
+                            if not bucket:
+                                del keys[key]
         # the watermark stays: removing messages creates no combination
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
             self._schedule(result.at + cp.debounce_ms + 1, p_idx, None)
-
-    def _reindex(self, slot) -> None:
-        p_idx, a_idx, c_idx = slot
-        cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
-        index: dict[tuple, list[Message]] = {}
-        for m in self.buffers[slot]:
-            index.setdefault(cons.message_key(m), []).append(m)
-        self.index[slot] = index
 
     def _pattern_fingerprint(self, cp: CompiledPattern, now: int):
         """Live buffer contents for the guard-no-consume invariant check.
@@ -431,19 +437,17 @@ class Network:
         keep = eligibility_predicate(bounds, now)
         removed: set[int] = set()
         for store in (self.buffers, self.blockers):
-            for slot, buf in store.items():
-                kept = []
-                for m in buf:
-                    if keep(m):
-                        kept.append(m)
-                    else:
-                        removed.add(m.id)
-                if len(kept) != len(buf):
-                    store[slot] = kept
+            for (p_idx, a_idx, c_idx), buf in store.items():
+                # eligibility fails only with age: the dropped messages are a prefix
+                drop = 0
+                while drop < len(buf) and not keep(buf[drop]):
+                    removed.add(buf[drop].id)
+                    drop += 1
+                if drop:
+                    cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
+                    _drop_heads(buf, drop, cons, self.index)
                     # a lifetime shorter than the network's removes eligible messages
-                    self._agenda.add(slot[0])
-                    if slot in self.index:
-                        self._reindex(slot)
+                    self._agenda.add(p_idx)
         self._watermark = [None] * len(self.cp.patterns)
         return len(removed)
 
@@ -453,6 +457,21 @@ class Network:
         return sum(len(b) for b in self.buffers.values()) + sum(
             len(b) for b in self.blockers.values()
         )
+
+
+def _drop_heads(buf: list[Message], drop: int, cons, index) -> None:
+    """Delete the first ``drop`` messages of ``cons``'s buffer ``buf``, and
+    from its index when the slot is keyed: each heads its bucket, as buckets
+    keep buffer order."""
+    if cons.join_key:
+        keys = index[cons.slot]
+        for m in buf[:drop]:
+            key = cons.message_key(m)
+            bucket = keys[key]
+            del bucket[0]
+            if not bucket:
+                del keys[key]
+    del buf[:drop]
 
 
 def _settled(msgs: list[Message], upto: int) -> list[Message]:

@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import CORPUS_DIR, fixture_path
+from sprw.compile import compile_program
+from sprw.errors import CompileError
+from sprw.expand import expand
+from sprw.parser import parse_program
 
 
 def run_cli(*args, env=None):
@@ -110,6 +116,24 @@ def test_guard_too_deep_to_compile_exit_2(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_dnf_too_large_fails_fast_exit_2(tmp_path):
+    # each ri doubles the alternatives of `big`: 2**20 of them would exhaust
+    # memory, so the size is counted before the product is built
+    refs = [f"pattern r{i} as {{:a{i}, x}} or {{:b{i}, x}}" for i in range(20)]
+    source = "\n".join(refs) + "\npattern big as " + " and ".join(f"r{i}" for i in range(20)) + "\n"
+    program = expand(parse_program(source))
+    started = time.perf_counter()
+    with pytest.raises(CompileError, match="DnfTooLarge"):
+        compile_program(program)
+    assert time.perf_counter() - started < 0.1
+    chain = tmp_path / "chain.sprw"
+    chain.write_text(source)
+    r = run_cli("check", "--patterns", str(chain))
+    assert r.returncode == 2
+    assert "DnfTooLarge: pattern 'big' has more than 1024 alternatives" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_trace_regression_exit_2(tmp_path):
     trace = tmp_path / "bad.jsonl"
     trace.write_text(
@@ -174,6 +198,35 @@ def test_check_reports_no_sharing_fig10c():
     assert r.returncode == 0
     lines = [l for l in r.stdout.splitlines() if "occupied_home" in l or "shared" in l]
     assert any("shared variables: none" in l for l in lines)
+
+
+def test_check_warns_about_negated_types_nothing_consumes(tmp_path):
+    # :m is only negated and has no window: nothing consumes its blockers;
+    # :n has a window and :o is consumed by `q`, so neither is named
+    program = tmp_path / "negated.sprw"
+    program.write_text(
+        "pattern p as {:a, x} and not {:m, x} and not {:n, x}[window: {1, :secs}]\n"
+        "pattern q as {:b, x} and not {:o, x}\n"
+        "pattern r as {:o, x}\n"
+    )
+    r = run_cli("check", "--patterns", str(program))
+    assert r.returncode == 0
+    assert r.stderr == (
+        "warning: messages of type :m are only negated, without a window: "
+        "nothing consumes them, so without a lifetime they accumulate\n"
+    )
+
+
+def test_python_dash_m_sprw_runs_the_cli():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    r = subprocess.run(
+        [sys.executable, "-m", "sprw", "check", "--patterns", str(CORPUS_DIR / "fig9.sprw")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert "shared variable 'id' across constituents 1, 2, 3" in r.stdout
 
 
 def test_check_malformed_option_exit_2(tmp_path):

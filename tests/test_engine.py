@@ -150,9 +150,24 @@ class TestAgenda:
         assert diff.divergence() == ""
         assert [m.cycle for m in diff.oracle.results] == [3]
 
+    def test_death_wakes_a_pattern_with_an_alternative_it_can_change(self):
+        # the first alternative is delta and cannot gain from a death, but the
+        # blocker's death unblocks the second, so the pattern is evaluated
+        text = "pattern p as {:a, x} and {:b, x} or {:c, y} and not {:m, y}"
+        trace = [
+            MessageEvent(0, Symbol("m"), (1,)),
+            MessageEvent(900, Symbol("c"), (1,)),  # blocked
+            MessageEvent(1_300, Symbol("zz"), ()),  # the blocker died at 1,001
+        ]
+        diff = differential(compile_program(expand(parse_program(text))), trace, 1_000)
+        assert diff.divergence() == ""
+        assert [(m.pattern, m.at, m.cycle) for m in diff.engine_matches] == [("p", 1_300, 3)]
+
     def test_pattern_is_evaluated_only_when_its_state_moves(self, monkeypatch):
-        # an interval bounds the retention of both types; each death is
-        # announced once, on the first cycle at or after it
+        # an interval bounds the retention of both types; each death falls on
+        # the first cycle at or after it, where it only drops the dead heads:
+        # `pair` is a delta pattern whose last evaluation found nothing, and a
+        # death cannot create a combination
         evaluated = []
         evaluate = sprw.engine.evaluate_pattern
 
@@ -169,7 +184,7 @@ class TestAgenda:
         feed(net, "b", (2,), 10)
         for ts in (20, 30, 1_100, 1_200):
             feed(net, "zz", (), ts)
-        assert evaluated == [("pair", 10), ("pair", 1_100)]
+        assert evaluated == [("pair", 10)]
         assert net.buffered_total() == 0
 
 

@@ -1,10 +1,10 @@
-"""Keyed joins and delta seeding against the brute-force oracle.
+"""Keyed joins, anti-joins and delta seeding against the brute-force oracle.
 
-The engine fetches a keyed slot's candidates from a hash index and, after a
-fruitless evaluation, searches only combinations that hold a newer message.
-The oracle does neither, so byte-identical records over many seeded equi-join
-cases check both.  After every event the index must also equal its slot
-buffer filtered by key, in buffer order.
+The engine fetches a keyed slot's candidates, and a negation's blockers, from
+a hash index and, after a fruitless evaluation, searches only combinations
+that hold a newer message.  The oracle does neither, so byte-identical records
+over many seeded equi-join cases check both.  After every event each index
+must also equal its slot buffer filtered by key, in buffer order.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import json
 import random
 
 import sprw.combine
-from sprw.compile import compile_program
+from sprw.compile import CompiledConstituent, compile_program
 from sprw.engine import Network
+from sprw.fuzz import differential
 from sprw.expand import expand
 from sprw.matching import extend_env
 from sprw.oracle import oracle_run
@@ -52,7 +53,7 @@ def _join_pattern(rng: random.Random, name: str) -> str:
         op = "[count: 2]" if rng.random() < 0.05 else ""
         parts.append(f"{{:{rng.choice(JOIN_TYPES)}, {first}, {second}, {third}}}{op}")
     if rng.random() < 0.12:
-        parts.append(f"not {{:d, x, q}}[window: {{{rng.randint(1, 2)}, :secs}}]")
+        parts.append(f"not {{:d, x, q, r}}[window: {{{rng.randint(1, 2)}, :secs}}]")
     body = " and ".join(parts)
     if rng.random() < 0.3:
         body += f" when p0 {rng.choice(('>', '<', '!='))} {rng.randint(1, 3)}"
@@ -94,7 +95,7 @@ def _case(seed: int):
 
 
 def _check_index(net: Network) -> None:
-    for slot, buf in net.buffers.items():
+    for slot, buf in [*net.buffers.items(), *net.blockers.items()]:
         p_idx, a_idx, c_idx = slot
         cons = net.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
         if not cons.join_key:
@@ -201,51 +202,132 @@ def test_timer_group_due_at_an_arrival_sees_the_arrival():
     ]
 
 
-def _extend_env_calls_per_message(buffered: int, measured: int = 100, match_every: int = 0) -> float:
-    """Calls per message once `buffered` messages whose keys never meet wait
-    in `{:a, x, p} and {:b, x, q}`.  With `match_every`, every such measured
-    message is instead a {:b} joining the {:a} just before it."""
-    compiled = compile_program(expand(parse_program(
-        "pattern j as {:a, x, p} and {:b, x, q}"
-    )))
-    net = Network(compiled)
+def _calls_per_message(monkeypatch, text, prefix, measured):
+    """(extend_env calls, message_key calls) per message of ``measured``,
+    fed after ``prefix``, whose messages all stay buffered; and the matches
+    of ``measured``.  Both are lists of (type, attrs)."""
+    net = Network(compile_program(expand(parse_program(text))))
+    for ts, (tag, attrs) in enumerate(prefix):
+        net.ingest(Symbol(tag), attrs, ts)
+    assert net.buffered_total() == len(prefix)
+    calls = {"extend_env": 0, "message_key": 0}
+    message_key = CompiledConstituent.message_key
 
-    def feed(n):
-        if match_every and n >= buffered and n % match_every == 0:
-            return net.ingest(Symbol("b"), (n - 1, 0), n)[1]
-        tag, key = ("a", n) if n % 2 else ("b", -n)
-        return net.ingest(Symbol(tag), (key, 0), n)[1]
-
-    for n in range(buffered):
-        feed(n)
-    assert net.buffered_total() == buffered
-    calls = matches = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
+    def counting_extend_env(*args):
+        calls["extend_env"] += 1
         return extend_env(*args)
 
-    sprw.combine.extend_env = counting
-    try:
-        for n in range(buffered, buffered + measured):
-            matches += len(feed(n))
-    finally:
-        sprw.combine.extend_env = extend_env
-    assert matches == (measured // match_every if match_every else 0)
-    return calls / measured
+    def counting_message_key(cons, msg):
+        calls["message_key"] += 1
+        return message_key(cons, msg)
+
+    monkeypatch.setattr(sprw.combine, "extend_env", counting_extend_env)
+    monkeypatch.setattr(CompiledConstituent, "message_key", counting_message_key)
+    matches = []
+    for ts, (tag, attrs) in enumerate(measured, start=len(prefix)):
+        matches += net.ingest(Symbol(tag), attrs, ts)[1]
+    monkeypatch.undo()
+    return calls["extend_env"] / len(measured), calls["message_key"] / len(measured), matches
 
 
-def test_join_cost_per_message_does_not_grow_with_buffered():
-    small = _extend_env_calls_per_message(400)
-    large = _extend_env_calls_per_message(1_600)
+JOIN = "pattern j as {:a, x, p} and {:b, x, q}"
+
+
+def _join_messages(first: int, last: int, match_every: int = 0) -> list:
+    """Messages ``first`` to ``last`` for JOIN: {:a} and {:b} whose keys
+    never meet, except that with ``match_every``, every such message is a
+    {:b} joining the message just before it."""
+    return [
+        ("b", (n - 1, 0)) if match_every and n % match_every == 0
+        else ("a", (n, 0)) if n % 2 else ("b", (-n, 0))
+        for n in range(first, last)
+    ]
+
+
+def _join_calls(monkeypatch, buffered: int, match_every: int = 0) -> tuple:
+    """_calls_per_message of 100 JOIN messages after ``buffered`` unmatched."""
+    measured = _join_messages(buffered, buffered + 100, match_every)
+    ee, mk, matches = _calls_per_message(
+        monkeypatch, JOIN, _join_messages(0, buffered), measured
+    )
+    assert len(matches) == (100 // match_every if match_every else 0)
+    return ee, mk
+
+
+def test_join_cost_per_message_does_not_grow_with_buffered(monkeypatch):
+    small, _ = _join_calls(monkeypatch, 400)
+    large, _ = _join_calls(monkeypatch, 1_600)
     assert small == large
     assert small <= 2
 
 
-def test_join_cost_after_a_match_does_not_grow_with_buffered():
+def test_join_cost_after_a_match_does_not_grow_with_buffered(monkeypatch):
     # consumption keeps the watermark, so the evaluation after a match
     # searches only the new arrivals, not the whole buffer again
-    small = _extend_env_calls_per_message(400, match_every=10)
-    large = _extend_env_calls_per_message(1_600, match_every=10)
+    small, _ = _join_calls(monkeypatch, 400, match_every=10)
+    large, _ = _join_calls(monkeypatch, 1_600, match_every=10)
     assert large <= 2 * small
+
+
+def test_rare_side_join_cost_does_not_grow_with_buffered(monkeypatch):
+    # only {:a} waits; every 10th message is a {:b} joining the {:a} just
+    # before it.  A failed readiness gate records the watermark, so the {:b}
+    # seeds a delta search instead of a full one, and consumption edits the
+    # bucket in place instead of rebuilding the index
+    def per_message(buffered):
+        measured = [
+            ("b", (n - 1, 0)) if n % 10 == 0 else ("a", (n, 0))
+            for n in range(buffered, buffered + 100)
+        ]
+        prefix = [("a", (n, 0)) for n in range(buffered)]
+        ee, mk, matches = _calls_per_message(monkeypatch, JOIN, prefix, measured)
+        assert len(matches) == 10
+        return ee, mk
+
+    (small_ee, small_mk), (large_ee, large_mk) = per_message(400), per_message(6_400)
+    assert large_ee <= 2 * small_ee
+    assert large_mk <= 2 * small_mk
+
+
+def test_anti_join_cost_does_not_grow_with_blockers(monkeypatch):
+    # no blocker shares a key with an {:a}: the negation probes one empty
+    # bucket of the blockers' index instead of unifying with each blocker
+    text = "pattern p as {:a, x} and not {:m, x}"
+
+    def per_message(blockers):
+        prefix = [("m", (-n,)) for n in range(1, blockers + 1)]
+        ee, _, matches = _calls_per_message(
+            monkeypatch, text, prefix, [("a", (n,)) for n in range(100)]
+        )
+        assert len(matches) == 100
+        return ee
+
+    small = per_message(200)
+    assert per_message(3_200) <= 2 * small
+    assert small <= 2
+
+
+def test_windowed_keyed_negation_unblocks_when_its_blocker_is_trimmed():
+    # each {:a} is blocked by the {:m} of its key until that blocker's window
+    # timer trims it from the buffer and the index; key 2's blocker stays
+    # longer, so the probe must find the right bucket
+    text = "pattern p as {:a, x} and not {:m, x}[window: {1, :secs}]\n"
+    events = [
+        MessageEvent(0, Symbol("m"), (1,)),
+        MessageEvent(100, Symbol("m"), (2,)),
+        MessageEvent(500, Symbol("a"), (1,)),
+        MessageEvent(500, Symbol("a"), (2,)),
+        MessageEvent(1_200, Symbol("m"), (1,)),
+        MessageEvent(1_400, Symbol("m"), (2,)),
+        AdvanceEvent(5_000),
+    ]
+    compiled = compile_program(expand(parse_program(text)))
+    labels = _labels(compiled)
+    engine = _engine_records(compiled, events, None, 0, labels)
+    assert engine == _oracle_records(compiled, events, None, labels)
+    assert [(r["at"], r["bindings"]) for r in map(json.loads, engine)] == [
+        (2_200, {"x": 1}), (2_400, {"x": 2})
+    ]
+    diff = differential(compiled, events)
+    assert diff.divergence() == ""
+    assert diff.network.blockers[(0, 0, 1)] == [] and diff.network.index[(0, 0, 1)] == {}
