@@ -134,10 +134,23 @@ def _warn_unrouted(compiled, events) -> None:
                 warned.add(ev.type_tag.name)
                 print(f"warning: no pattern references message type :{ev.type_tag.name}",
                       file=sys.stderr)
-    for tag, bound in compiled.retention_ms.items():
-        if bound is None:
-            print(f"warning: messages of type :{tag} are retained until consumed",
-                  file=sys.stderr)
+    for _, warning in _retention_warnings(compiled):
+        print(warning, file=sys.stderr)
+
+
+def _retention_warnings(compiled) -> list[tuple[bool, str]]:
+    """(consumed, warning) per message type that no window or interval
+    bounds: a positive constituent consumes it, or nothing ever does, when
+    only negated constituents reference it."""
+    consumed = {c.selector.type_tag.name
+                for cp in compiled.patterns for alt in cp.alternatives for c in alt.positives}
+    return [
+        (True, f"warning: messages of type :{tag} are retained until consumed")
+        if tag in consumed else
+        (False, f"warning: messages of type :{tag} are only negated, without a window: "
+                "nothing consumes them, so without a lifetime they accumulate")
+        for tag, bound in compiled.retention_ms.items() if bound is None
+    ]
 
 
 def _cmd_check(args) -> int:
@@ -167,12 +180,10 @@ def _cmd_check(args) -> int:
             f"{compiled.patterns[p].name}#{cons.cons_index + 1}" for p, _, cons in spec.targets
         )
         print(f"  :{spec.type_tag.name}/{spec.arity} [{tests}]{suffix} -> {users}")
-    consumed = {c.selector.type_tag.name
-                for cp in compiled.patterns for alt in cp.alternatives for c in alt.positives}
-    for tag, bound in compiled.retention_ms.items():
-        if bound is None and tag not in consumed:
-            print(f"warning: messages of type :{tag} are only negated, without a window: "
-                  "nothing consumes them, so without a lifetime they accumulate", file=sys.stderr)
+    # consumption bounds a consumed type: name only the types nothing consumes
+    for consumed, warning in _retention_warnings(compiled):
+        if not consumed:
+            print(warning, file=sys.stderr)
     return 0
 
 

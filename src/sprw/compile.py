@@ -66,6 +66,10 @@ class CompiledConstituent:
     # the positives before this one bind the whole key, so a search in
     # textual order can probe the index here
     probe_in_order: bool = False
+    # on a delta alternative: per other positive, (its index among the
+    # positives, the attr positions of this slot's messages holding its key),
+    # so a new message can look for its partners in their indexes
+    partner_keys: tuple[tuple[int, tuple[int, ...]], ...] = ()
     # plain positives beside windowed negatives: the longest of those windows.
     # Each negation rejects a combination until its window has passed since
     # the combination's newest message, so a message of this slot can only
@@ -330,7 +334,8 @@ def _closure(compile_fn, node, pattern: str):
 
 
 def _plan_joins(alt: CompiledAlternative, plans: dict[tuple, tuple]) -> None:
-    """Set each plain positive's index key and the alternative's delta flag.
+    """Set each plain positive's index key and partner keys, and the
+    alternative's delta flag.
 
     The plan depends only on the positives' variable terms, so alternatives
     of one shape (common among refinements of a named pattern) share it."""
@@ -341,14 +346,16 @@ def _plan_joins(alt: CompiledAlternative, plans: dict[tuple, tuple]) -> None:
     plan = plans.get(shape)
     if plan is None:
         plan = plans[shape] = _join_plan(alt)
-    keys, alt.delta = plan
-    for cons, (key, probe) in zip(positives, keys):
+    keys, alt.delta, partners = plan
+    for cons, (key, probe), partners in zip(positives, keys, partners):
         cons.join_key = key
         cons.probe_in_order = probe
+        cons.partner_keys = partners
 
 
 def _join_plan(alt: CompiledAlternative) -> tuple:
-    """((join_key, probe_in_order) per positive, delta) for one alternative."""
+    """((join_key, probe_in_order) per positive, delta, partner_keys per
+    positive) for one alternative."""
     positives = alt.positives
     binders: dict[str, int] = {}  # variable -> number of positives binding it
     for cons in positives:
@@ -371,7 +378,15 @@ def _join_plan(alt: CompiledAlternative) -> tuple:
         and all(n == len(positives) for n in shared)
         and not any(c.accumulates for c in positives)
     )
-    return keys, delta
+    partners = [()] * len(positives)
+    if delta:  # every positive binds every key variable, here at these positions
+        where = [{name: pos for pos, name, kind in c.bind_terms if kind == 0} for c in positives]
+        partners = [
+            tuple([(k, tuple([at[name] for _, name in key]))
+                   for k, (key, _) in enumerate(keys) if k != j])
+            for j, at in enumerate(where)
+        ]
+    return keys, delta, partners
 
 
 class AlphaRouter:

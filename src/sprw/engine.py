@@ -45,9 +45,10 @@ candidates those are:
   ``now``.  So once an evaluation or the readiness gate finds no
   combination, the watermark records the ``seq`` of the last routed message,
   and later evaluations search only combinations holding a newer message,
-  seeded from each slot's new arrivals.  Consumption keeps the watermark, as
-  removing messages creates no combination at or below it.  A guard
-  rejection, a diagnostic and gc clear it; the next evaluation searches in full.
+  seeded from each slot's new arrivals.  Consumption and gc keep the
+  watermark, as removing messages creates no combination at or below it.  A
+  guard rejection and a diagnostic clear it; the next evaluation searches in
+  full.
 * A windowed negation rejects a combination until its window has passed
   since the combination's newest message.  So a plain positive beside
   windowed negatives yields only its settled messages, those at least as old
@@ -57,7 +58,12 @@ candidates those are:
   messages: its greedy group depends on every message it may take.
 * A readiness gate skips the evaluation unless some alternative can fill
   each positive slot: the slot holds a settled message, and at least as
-  many messages as a count group there needs (its ``min_group``).
+  many messages as a count group there needs (its ``min_group``).  A delta
+  alternative whose watermark is set passes only if some message newer than
+  the watermark has a non-empty bucket in every other positive's index, a
+  necessary condition for a new combination.  The gate reads the raw buffers
+  and buckets: a dead message there can only let it pass, and the search
+  still sees only live messages.  A skip is a miss: it sets the watermark.
 
 The slot callbacks read the clock from a one-element list, not from the
 Network, so a Network holds no reference cycle and reference counting frees it.
@@ -259,10 +265,10 @@ class Network:
         expiries = self._expiries
         while expiries and expiries[0][0] <= now:
             p_idx = heappop(expiries)[1]
-            if p_idx in agenda:
-                continue  # this cycle examines it anyway
             # a death only removes combinations: a delta pattern whose last
-            # evaluation found none still finds none, so only its heads go
+            # evaluation found none still finds none, so only its heads go,
+            # even if it is on the agenda, as its readiness gate reads the
+            # raw buffers
             if watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives):
                 agenda.add(p_idx)
             else:
@@ -271,6 +277,7 @@ class Network:
         if not agenda:
             return out
         buffers = self.buffers
+        index = self.index
         for p_idx in sorted(agenda):
             cp = patterns[p_idx]
             if cp.debounce_ms is not None:
@@ -279,8 +286,15 @@ class Network:
                     agenda.discard(p_idx)  # until its debounce-clear timer
                     continue
             # cheap readiness gate: some alternative must be able to fill each
-            # positive slot before the full decision procedure is worth running
+            # positive slot before the full decision procedure is worth running;
+            # after a fruitless evaluation, a delta one needs a new message with
+            # a partner in every other slot
+            wm = watermark[p_idx]
             for alt in cp.alternatives:
+                if alt.delta and wm is not None:
+                    if _partnered_arrival(alt, buffers, index, wm):
+                        break
+                    continue
                 for cons in alt.positives:
                     buf = buffers.get(cons.slot, _EMPTY)
                     settle = cons.settle_ms
@@ -372,8 +386,10 @@ class Network:
             bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
             return bucket if settle is None else _settled(bucket, clock[0] - settle)
 
+        every_view = [v for alt_views in views for v in alt_views]
+
         def drop_dead():
-            for view in [v for alt_views in views for v in alt_views]:
+            for view in every_view:
                 live(view)
 
         keyed = any(c.join_key for alt in cp.alternatives for c in alt.constituents)
@@ -392,8 +408,12 @@ class Network:
                 buf = buffers.get(cons.slot)
                 if not buf:
                     continue
-                # buffers and buckets ascend in seq: find each message by bisection
+                tag = cons.selector.type_tag.name
+                # buffers and buckets ascend in seq: find each message of the
+                # slot's type by bisection
                 for m in msgs:
+                    if m.type_tag.name != tag:
+                        continue
                     i = bisect_left(buf, m.seq, key=_SEQ)
                     if i < len(buf) and buf[i] is m:
                         del buf[i]
@@ -448,7 +468,7 @@ class Network:
                     _drop_heads(buf, drop, cons, self.index)
                     # a lifetime shorter than the network's removes eligible messages
                     self._agenda.add(p_idx)
-        self._watermark = [None] * len(self.cp.patterns)
+        # the watermarks stay: removing messages creates no combination
         return len(removed)
 
     # -- introspection ------------------------------------------------------------
@@ -472,6 +492,28 @@ def _drop_heads(buf: list[Message], drop: int, cons, index) -> None:
             if not bucket:
                 del keys[key]
     del buf[:drop]
+
+
+def _partnered_arrival(alt, buffers, index, watermark: int) -> bool:
+    """Whether a message of delta alternative ``alt`` newer than ``watermark``
+    has a non-empty bucket in every other positive's index.  Every new
+    combination holds such a message, as every positive is keyed on the same
+    variables.  The raw buffers and buckets may still hold dead messages,
+    which can only make the answer True."""
+    positives = alt.positives
+    for cons in positives:
+        buf = buffers.get(cons.slot, _EMPTY)
+        i = len(buf)
+        while i and buf[i - 1].seq > watermark:
+            i -= 1
+            attrs = buf[i].attrs
+            for k, positions in cons.partner_keys:
+                keys = index.get(positives[k].slot)
+                if not keys or tuple([attrs[pos] for pos in positions]) not in keys:
+                    break
+            else:
+                return True
+    return False
 
 
 def _settled(msgs: list[Message], upto: int) -> list[Message]:

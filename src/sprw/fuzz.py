@@ -26,8 +26,9 @@ class Differential:
 
     def divergence(self) -> str:
         """The first difference between the sides, in their records, their
-        diagnostics as (kind, pattern, at), then their matches' cycles; or ""
-        when they agree on all three."""
+        diagnostics as (kind, pattern, at), then their matches' cycles, or
+        else an engine index that differs from its buffer (see
+        :func:`index_mismatch`); "" when there is none."""
         return (
             _first_difference("record", self.engine_records, self.oracle_records)
             or _first_difference(
@@ -40,7 +41,30 @@ class Differential:
                 [(m.pattern, m.at, m.cycle) for m in self.engine_matches],
                 [(m.pattern, m.at, m.cycle) for m in self.oracle.results],
             )
+            or index_mismatch(self.network)
         )
+
+
+def index_mismatch(net: Network) -> str:
+    """"" when every keyed slot's index equals its buffer grouped by join
+    key, in buffer order, and no unkeyed slot has an index; else the first
+    slot that breaks this.  The engine's readiness gate, join steps and
+    negation probes read the index alone, so a stale or missing entry would
+    drop a match or block one that the oracle, with no index, finds."""
+    for slot, buf in [*net.buffers.items(), *net.blockers.items()]:
+        p_idx, a_idx, c_idx = slot
+        cons = net.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
+        index = net.index.get(slot)
+        if not cons.join_key:
+            if index is not None:
+                return f"unkeyed slot {slot} has an index"
+            continue
+        grouped: dict[tuple, list] = {}
+        for m in buf:
+            grouped.setdefault(cons.message_key(m), []).append(m)
+        if (index or {}) != grouped:
+            return f"index of slot {slot} differs from its buffer grouped by key"
+    return ""
 
 
 def differential(

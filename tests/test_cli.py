@@ -217,6 +217,23 @@ def test_check_warns_about_negated_types_nothing_consumes(tmp_path):
     )
 
 
+def test_run_warns_about_negated_types_as_check_does(tmp_path):
+    # :a is consumed by `p`; nothing consumes :m
+    program = tmp_path / "negated.sprw"
+    program.write_text("pattern p as {:a, x} and not {:m, x}\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"ts": 0, "type": ":m", "attrs": [1]}\n'
+                     '{"ts": 5, "type": ":a", "attrs": [2]}\n')
+    r = run_cli("run", "--patterns", str(program), "--trace", str(trace))
+    assert r.returncode == 0
+    assert [json.loads(line)["messageIds"] for line in r.stdout.splitlines()] == [[2]]
+    assert r.stderr == (
+        "warning: messages of type :a are retained until consumed\n"
+        "warning: messages of type :m are only negated, without a window: "
+        "nothing consumes them, so without a lifetime they accumulate\n"
+    )
+
+
 def test_python_dash_m_sprw_runs_the_cli():
     src = pathlib.Path(__file__).parents[1] / "src"
     r = subprocess.run(

@@ -177,11 +177,13 @@ class TestAgenda:
 
         monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
         net = build(
-            "pattern pair as {:a, x} and {:b, x}, options: [interval: {1, :secs}]\n"
+            "pattern pair as {:a, x} and {:b, x}, options: [interval: {1, :secs}, seq: true]\n"
             "pattern other as {:c, x}"
         )
-        feed(net, "a", (1,), 0)  # the readiness gate skips: no {:b} yet
-        feed(net, "b", (2,), 10)
+        feed(net, "b", (1,), 0)  # the readiness gate skips: no {:a} yet
+        # the keys agree, so the gate lets the evaluation run, but the {:b}
+        # precedes the {:a}, which `seq` forbids
+        feed(net, "a", (1,), 10)
         for ts in (20, 30, 1_100, 1_200):
             feed(net, "zz", (), ts)
         assert evaluated == [("pair", 10)]

@@ -9,18 +9,22 @@ must also equal its slot buffer filtered by key, in buffer order.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import sprw.combine
+import sprw.engine
 from sprw.compile import CompiledConstituent, compile_program
-from sprw.engine import Network
-from sprw.fuzz import differential
+from sprw.engine import Network, replay_trace
+from sprw.fuzz import differential, index_mismatch
 from sprw.expand import expand
 from sprw.matching import extend_env
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
-from sprw.tracefile import AdvanceEvent, MessageEvent, record_line, records_for
+from sprw.tracefile import AdvanceEvent, MessageEvent, load_trace, record_line, records_for
 from sprw.values import Symbol
 
 CASES = 320
@@ -94,20 +98,6 @@ def _case(seed: int):
     return "\n".join(lines) + "\n", events, lifetime, gc_every
 
 
-def _check_index(net: Network) -> None:
-    for slot, buf in [*net.buffers.items(), *net.blockers.items()]:
-        p_idx, a_idx, c_idx = slot
-        cons = net.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
-        if not cons.join_key:
-            assert slot not in net.index
-            continue
-        index = net.index.get(slot, {})
-        assert all(index.values()), f"empty bucket in {slot}"
-        assert set(index) == {cons.message_key(m) for m in buf}
-        for key, bucket in index.items():
-            assert bucket == [m for m in buf if cons.message_key(m) == key], slot
-
-
 def _engine_records(compiled, events, lifetime, gc_every, labels):
     net = Network(compiled, lifetime_ms=lifetime)
     matches = []
@@ -118,7 +108,7 @@ def _engine_records(compiled, events, lifetime, gc_every, labels):
             matches.extend(net.ingest(ev.type_tag, ev.attrs, ev.ts)[1])
         if gc_every and n % gc_every == 0:
             net.gc(net.clock)
-        _check_index(net)
+        assert index_mismatch(net) == ""
     return [record_line(r) for r in records_for(matches, labels)]
 
 
@@ -203,15 +193,17 @@ def test_timer_group_due_at_an_arrival_sees_the_arrival():
 
 
 def _calls_per_message(monkeypatch, text, prefix, measured):
-    """(extend_env calls, message_key calls) per message of ``measured``,
-    fed after ``prefix``, whose messages all stay buffered; and the matches
-    of ``measured``.  Both are lists of (type, attrs)."""
+    """Calls of extend_env, message_key and the engine's evaluate_pattern
+    per message of ``measured``, fed after ``prefix``, whose messages all
+    stay buffered, by name; and the matches of ``measured``.  Both are lists
+    of (type, attrs)."""
     net = Network(compile_program(expand(parse_program(text))))
     for ts, (tag, attrs) in enumerate(prefix):
         net.ingest(Symbol(tag), attrs, ts)
     assert net.buffered_total() == len(prefix)
-    calls = {"extend_env": 0, "message_key": 0}
+    calls = {"extend_env": 0, "message_key": 0, "evaluate_pattern": 0}
     message_key = CompiledConstituent.message_key
+    evaluate = sprw.engine.evaluate_pattern
 
     def counting_extend_env(*args):
         calls["extend_env"] += 1
@@ -221,13 +213,18 @@ def _calls_per_message(monkeypatch, text, prefix, measured):
         calls["message_key"] += 1
         return message_key(cons, msg)
 
+    def counting_evaluate(*args):
+        calls["evaluate_pattern"] += 1
+        return evaluate(*args)
+
     monkeypatch.setattr(sprw.combine, "extend_env", counting_extend_env)
+    monkeypatch.setattr(sprw.engine, "evaluate_pattern", counting_evaluate)
     monkeypatch.setattr(CompiledConstituent, "message_key", counting_message_key)
     matches = []
     for ts, (tag, attrs) in enumerate(measured, start=len(prefix)):
         matches += net.ingest(Symbol(tag), attrs, ts)[1]
     monkeypatch.undo()
-    return calls["extend_env"] / len(measured), calls["message_key"] / len(measured), matches
+    return {name: n / len(measured) for name, n in calls.items()}, matches
 
 
 JOIN = "pattern j as {:a, x, p} and {:b, x, q}"
@@ -247,11 +244,11 @@ def _join_messages(first: int, last: int, match_every: int = 0) -> list:
 def _join_calls(monkeypatch, buffered: int, match_every: int = 0) -> tuple:
     """_calls_per_message of 100 JOIN messages after ``buffered`` unmatched."""
     measured = _join_messages(buffered, buffered + 100, match_every)
-    ee, mk, matches = _calls_per_message(
+    calls, matches = _calls_per_message(
         monkeypatch, JOIN, _join_messages(0, buffered), measured
     )
     assert len(matches) == (100 // match_every if match_every else 0)
-    return ee, mk
+    return calls["extend_env"], calls["message_key"]
 
 
 def test_join_cost_per_message_does_not_grow_with_buffered(monkeypatch):
@@ -280,9 +277,9 @@ def test_rare_side_join_cost_does_not_grow_with_buffered(monkeypatch):
             for n in range(buffered, buffered + 100)
         ]
         prefix = [("a", (n, 0)) for n in range(buffered)]
-        ee, mk, matches = _calls_per_message(monkeypatch, JOIN, prefix, measured)
+        calls, matches = _calls_per_message(monkeypatch, JOIN, prefix, measured)
         assert len(matches) == 10
-        return ee, mk
+        return calls["extend_env"], calls["message_key"]
 
     (small_ee, small_mk), (large_ee, large_mk) = per_message(400), per_message(6_400)
     assert large_ee <= 2 * small_ee
@@ -296,11 +293,11 @@ def test_anti_join_cost_does_not_grow_with_blockers(monkeypatch):
 
     def per_message(blockers):
         prefix = [("m", (-n,)) for n in range(1, blockers + 1)]
-        ee, _, matches = _calls_per_message(
+        calls, matches = _calls_per_message(
             monkeypatch, text, prefix, [("a", (n,)) for n in range(100)]
         )
         assert len(matches) == 100
-        return ee
+        return calls["extend_env"]
 
     small = per_message(200)
     assert per_message(3_200) <= 2 * small
@@ -331,3 +328,132 @@ def test_windowed_keyed_negation_unblocks_when_its_blocker_is_trimmed():
     diff = differential(compiled, events)
     assert diff.divergence() == ""
     assert diff.network.blockers[(0, 0, 1)] == [] and diff.network.index[(0, 0, 1)] == {}
+
+
+def test_gate_skips_arrivals_with_no_partner(monkeypatch):
+    # after a fruitless evaluation, an arrival whose key no message of the
+    # other slot holds starts no combination: the readiness gate skips the
+    # pattern without evaluating it, however many messages wait
+    for buffered in (400, 1_600):
+        calls, matches = _calls_per_message(
+            monkeypatch, JOIN, _join_messages(0, buffered), _join_messages(buffered, buffered + 100)
+        )
+        assert matches == []
+        assert calls["evaluate_pattern"] == calls["extend_env"] == 0
+
+
+def _gated_replay(monkeypatch, text, events, lifetime=None):
+    """The engine's records, checked against the oracle's and its indexes
+    against its buffers, and the instants at which it evaluated a pattern."""
+    evaluated = []
+    evaluate = sprw.engine.evaluate_pattern
+
+    def recording(cp, get_candidates, get_blockers, now, *args):
+        evaluated.append(now)
+        return evaluate(cp, get_candidates, get_blockers, now, *args)
+
+    monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
+    diff = differential(compile_program(expand(parse_program(text))), events, lifetime)
+    monkeypatch.undo()
+    assert diff.divergence() == ""
+    return [(r["at"], r["messageIds"]) for r in map(json.loads, diff.engine_records)], evaluated
+
+
+def _messages(*events):
+    return [MessageEvent(ts, Symbol(tag), attrs) for tag, attrs, ts in events]
+
+
+def test_gate_passes_when_the_partner_arrives_on_either_side(monkeypatch):
+    # ids 1-6 wait with keys that never meet; {:b, 1} then finds the waiting
+    # {:a, 1}, and {:a, 2} the waiting {:b, 2}.  In the three-way pattern
+    # {:c, 5} has a {:d} partner but no {:e}, so it is skipped too
+    text = JOIN + "\npattern t as {:c, x} and {:d, x} and {:e, x}\n"
+    events = _messages(
+        ("a", (1, 0), 0), ("b", (2, 0), 10), ("a", (3, 0), 20), ("b", (4, 0), 30),
+        ("d", (5,), 40), ("e", (6,), 50),
+        ("b", (1, 9), 60), ("a", (2, 9), 70), ("c", (5,), 80), ("a", (7, 0), 90),
+    ) + [AdvanceEvent(1_000)]
+    records, evaluated = _gated_replay(monkeypatch, text, events)
+    assert records == [(60, [1, 7]), (70, [8, 2])]
+    # a match keeps its pattern on the agenda, but at the next cycle no
+    # message newer than the watermark has a partner left, so the gate skips
+    assert evaluated == [60, 70]
+
+
+def test_gate_finds_a_partner_key_in_other_positions(monkeypatch):
+    # {:b} holds the key (y, x) at positions 1 and 3, {:a} at 2 and 1, so the
+    # gate must build each partner's key from its own positions
+    text = "pattern p as {:a, x, y} and {:b, y, @z, x}"
+    events = _messages(
+        ("a", (1, 2), 0), ("b", (1, 0, 2), 10), ("b", (2, 0, 1), 20),
+        ("b", (4, 0, 3), 30), ("a", (3, 4), 40),
+    ) + [AdvanceEvent(1_000)]
+    records, evaluated = _gated_replay(monkeypatch, text, events)
+    assert records == [(20, [1, 3]), (40, [5, 4])]
+    assert evaluated == [20, 40]
+
+
+def test_gate_sees_every_arrival_held_back_by_a_debounce(monkeypatch):
+    # the match at 10 debounces `p` until 1,010; of the four messages that
+    # arrive meanwhile only {:a, 2} and {:b, 2} are partners, and neither is
+    # the newest of its slot
+    text = "pattern p as {:a, x} and {:b, x}, options: [debounce: {1, :secs}]"
+    events = _messages(
+        ("a", (1,), 0), ("b", (1,), 10),
+        ("a", (2,), 100), ("b", (2,), 200), ("b", (3,), 300), ("a", (4,), 400),
+    ) + [AdvanceEvent(3_000)]
+    records, evaluated = _gated_replay(monkeypatch, text, events)
+    assert records == [(10, [1, 2]), (1_011, [3, 4])]
+    assert evaluated == [10, 1_011]
+
+
+def test_gate_never_joins_a_dead_message(monkeypatch):
+    # under a 100 ms lifetime {:a, 2} dies at 151, long before the debounce
+    # clears at 1,011, so {:b, 2}, which arrives at 1,005, has no live
+    # partner then: as in the oracle, `p` fires only at 10
+    text = "pattern p as {:a, x} and {:b, x}, options: [debounce: {1, :secs}]"
+    events = _messages(
+        ("a", (1,), 0), ("b", (1,), 10), ("a", (2,), 50), ("b", (3,), 151), ("b", (2,), 1_005),
+    ) + [AdvanceEvent(3_000)]
+    records, evaluated = _gated_replay(monkeypatch, text, events, lifetime=100)
+    assert records == [(10, [1, 2])]
+    assert evaluated == [10]
+
+
+def test_gc_keeps_the_watermark(monkeypatch):
+    # the benchmark's join_window workload, with a gc every 100 messages: gc
+    # only removes messages, so no evaluation needs a full search and the
+    # matches are those of the replay without gc
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    workload = workloads.build("join_window", 0)
+    compiled = compile_program(expand(parse_program(workload.source)))
+    events = load_trace(workload.trace_text)
+    full_searches = []
+    evaluate = sprw.engine.evaluate_pattern
+
+    def recording(cp, get_candidates, get_blockers, now, eligible, cycle, lookup, watermark):
+        if watermark is None:
+            full_searches.append((cp.name, now))
+        return evaluate(cp, get_candidates, get_blockers, now, eligible, cycle, lookup, watermark)
+
+    monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
+    net = Network(compiled)
+    matches = []
+    for n, ev in enumerate(events, start=1):
+        if isinstance(ev, AdvanceEvent):
+            matches += net.advance_time(ev.to)
+        else:
+            matches += net.ingest(ev.type_tag, ev.attrs, ev.ts)[1]
+        if n % 100 == 0:
+            net.gc(net.clock)
+    monkeypatch.undo()
+    assert full_searches == []
+    assert index_mismatch(net) == ""
+    plain, _ = replay_trace(compiled, events)
+    assert len(matches) == 19
+    assert [(m.at, m.messages) for m in matches] == [(m.at, m.messages) for m in plain]
