@@ -217,18 +217,25 @@ def _cmd_oracle(args) -> int:
     return 1 if divergence else 0
 
 
+# lifetimes `fuzz` cycles through, one per pass over the grid, so every
+# operator meets every lifetime
+FUZZ_LIFETIMES = (None, 300, 1_500, 5_000)
+
+
 def _cmd_fuzz(args) -> int:
     failures = 0
     covered: set[str] = set()
     for i in range(args.count):
         seed = args.seed + i
         force = OP_GRID[i % len(OP_GRID)]
+        lifetime = FUZZ_LIFETIMES[(i // len(OP_GRID)) % len(FUZZ_LIFETIMES)]
         case = generate_case(seed, n_events=args.events, force_op=force)
         covered |= case.ops
-        ok, detail = run_case(case)
+        ok, detail = run_case(case, lifetime)
         if not ok:
             failures += 1
-            print(f"seed {seed}: DIVERGENCE\n{detail}", file=sys.stderr)
+            shown = "none" if lifetime is None else f"{lifetime} ms"
+            print(f"seed {seed}, lifetime {shown}: DIVERGENCE\n{detail}", file=sys.stderr)
             print("program:\n" + case.program_text, file=sys.stderr)
             break
     if failures == 0:

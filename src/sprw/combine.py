@@ -10,6 +10,13 @@ point.  Guards see only the single policy-selected combination: a false guard
 rejects the whole cycle without consuming anything.  The search is a
 module-level function over an explicit state tuple, not a closure, so an
 evaluation leaves no reference cycle: reference counting frees all of it.
+An alternative with one positive runs the same search, one step deep.
+
+The caller's slot views decide liveness: they yield only messages that are
+not ``compile.dead_forever`` at the evaluation instant, so the search checks
+no retention, lifetime or window age.  It checks unification, ``seq``,
+``interval`` and negation, and skips the ``seq``/``interval`` bookkeeping on
+an alternative with neither and no windowed negation.
 
 Optional inputs, which only the engine passes, narrow the search without
 changing its result.  A ``lookup`` callback returns a keyed slot's messages
@@ -18,9 +25,7 @@ a join step's candidates, or a negation's blockers.  A ``watermark`` promises
 that no valid combination of messages with ``seq`` at or below it exists; on
 a delta alternative the same search then runs once per seed slot over the
 combinations holding a newer message, and the policy-least (or greatest) of
-their hits is the answer.  An ``eligible`` of None promises that every
-message the callbacks yield is eligible, so the predicate is skipped.  Every
-message still passes the same unification, ordering and negation checks.
+their hits is the answer.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ class EvalOutcome:
 
 _NO_MATCH = EvalOutcome()
 _GUARD_FAILED = EvalOutcome(guard_failed=True)
-_NONE_USED: frozenset[int] = frozenset()
 _REJECT = (False, None, None, None)
 _TS_SEQ = attrgetter("ts", "seq")
 
@@ -58,32 +62,23 @@ _TS_SEQ = attrgetter("ts", "seq")
 def evaluate_pattern(
     cp: CompiledPattern,
     get_candidates,
-    get_blockers,
     now: int,
-    eligible,
     cycle: int = 0,
     lookup=None,
     watermark: int | None = None,
 ) -> EvalOutcome:
     """Attempt one match for ``cp`` at time ``now``.
 
-    ``get_candidates(alt_idx, cons_index)`` yields unconsumed messages in
-    (ts, seq) ascending order; ``get_blockers`` likewise for negated
-    constituents.  ``eligible(msg)`` applies the retention/lifetime predicate;
-    None means that every message both callbacks yield is eligible at ``now``.
-    ``lookup(alt_idx, cons_index, key)``, when given, yields a keyed slot's
-    candidates or blockers with that join key, in the same order.
-    ``watermark``, when given with ``lookup``, restricts delta alternatives to
-    combinations that hold a message with a greater ``seq``.
+    ``get_candidates(alt_idx, cons_index)`` yields a slot's live messages in
+    (ts, seq) ascending order: unconsumed candidates on a positive slot,
+    blockers on a negated one.  ``lookup(alt_idx, cons_index, key)``, when
+    given, yields a keyed slot's messages with that join key, in the same
+    order.  ``watermark``, when given with ``lookup``, restricts delta
+    alternatives to combinations that hold a message with a greater ``seq``.
     At most one match is produced (single pattern selection).
     """
     for a_idx, alt in enumerate(cp.alternatives):
-        if len(alt.positives) == 1:
-            sel = _select_one(cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup)
-        else:
-            sel = _select(
-                cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup, watermark
-            )
+        sel = _select(cp, alt, a_idx, get_candidates, now, lookup, watermark)
         if sel is None:
             continue
         groups, env = sel
@@ -114,58 +109,12 @@ def evaluate_pattern(
     return _NO_MATCH
 
 
-def _select_one(
-    cp: CompiledPattern,
-    alt: CompiledAlternative,
-    a_idx: int,
-    get_candidates,
-    get_blockers,
-    now: int,
-    eligible,
-    lookup,
-) -> tuple | None:
-    """:func:`_select` for an alternative with a single positive, where there
-    is no join to search: the first eligible candidate in policy order that
-    unifies and clears the negations, or the one greedy group if it does."""
-    cons = alt.positives[0]
-    c_idx = cons.cons_index
-    cands = get_candidates(a_idx, c_idx)
-    negated = bool(alt.negatives)
-    if cons.accumulates:
-        built = _build_group(cons, cp, cands, {}, {}, _NONE_USED, now, eligible)
-        if built is None:
-            return None
-        group, env, distinct = built
-        ok, _, _, max_ts = _order_ok(cp, group, None, None, None)
-        if not ok or negated and not _negations_ok(
-            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup
-        ):
-            return None
-        return {c_idx: group}, env
-    bind_terms = cons.bind_terms
-    for m in (reversed(cands) if cp.last else cands):
-        if eligible is not None and not eligible(m):
-            continue
-        r = extend_env(bind_terms, m, {}, {})
-        if r is None:
-            continue
-        # a single message always satisfies seq and interval
-        if negated and not _negations_ok(
-            alt, a_idx, get_blockers, r[0], r[1], now, m.ts, eligible, lookup
-        ):
-            continue
-        return {c_idx: [m]}, r[0]
-    return None
-
-
 def _select(
     cp: CompiledPattern,
     alt: CompiledAlternative,
     a_idx: int,
     get_candidates,
-    get_blockers,
     now: int,
-    eligible,
     lookup,
     watermark: int | None,
 ) -> tuple | None:
@@ -174,7 +123,7 @@ def _select(
     None when there is none."""
     groups: dict[int, list[Message]] = {}
     used: set[int] = set()
-    fixed = (cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup, groups, used)
+    fixed = (cp, alt, a_idx, get_candidates, now, lookup, groups, used)
     if watermark is None or lookup is None or not alt.delta:
         env = _search(fixed + (-1, None, None), 0, {}, {}, None, None, None)
         return None if env is None else (groups, env)
@@ -190,8 +139,6 @@ def _select(
         while first_new and cands[first_new - 1].seq > watermark:
             first_new -= 1
         for m in cands[first_new:]:
-            if eligible is not None and not eligible(m):
-                continue
             env = {}
             if j:  # the positions before the seed probe with its bindings
                 r = extend_env(cons.bind_terms, m, env, {})
@@ -205,7 +152,6 @@ def _select(
             if best is None or (key > best_key if cp.last else key < best_key):
                 best = (dict(groups), hit)
                 best_key = key
-            groups.clear()
             used.clear()
     return best
 
@@ -215,17 +161,14 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     of the first complete combination, or None.  ``state`` is what stays
     fixed during one search; a delta search puts only its seed at position
     ``seed_at`` (-1 in a full search), and before it only messages at or
-    below ``watermark``."""
-    (cp, alt, a_idx, get_candidates, get_blockers, now, eligible, lookup,
-     groups, used, seed_at, seed, watermark) = state
+    below ``watermark``.  The last position checks the negations itself, and
+    a failed branch leaves its stale group behind for the next to overwrite."""
+    (cp, alt, a_idx, get_candidates, now, lookup, groups, used,
+     seed_at, seed, watermark) = state
     positives = alt.positives
-    if i == len(positives):
-        if not alt.negatives or _negations_ok(
-            alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup
-        ):
-            return env
-        return None
     cons = positives[i]
+    final = i + 1 == len(positives)
+    ordered = alt.ordered
     if i == seed_at:
         cands = seed
     elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
@@ -234,39 +177,52 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
             cands = [m for m in cands if m.seq <= watermark]
     else:
         cands = get_candidates(a_idx, cons.cons_index)
+    nkey = nmin = nmax = None
     if cons.accumulates:
-        built = _build_group(cons, cp, cands, env, distinct, used, now, eligible)
+        built = _build_group(cons, cp, cands, env, distinct, used)
         if built is None:
             return None
-        group, env2, distinct2 = built
-        ok, nkey, nmin, nmax = _order_ok(cp, group, prev_key, min_ts, max_ts)
-        if not ok:
-            return None
+        group, env, distinct = built
+        if ordered:
+            ok, nkey, nmin, nmax = _order_ok(cp, group, prev_key, min_ts, max_ts)
+            if not ok:
+                return None
         groups[cons.cons_index] = group
+        if final:
+            if alt.negatives and not _negations_ok(
+                alt, a_idx, get_candidates, env, distinct, now, nmax, lookup
+            ):
+                return None
+            return env
         used.update(m.id for m in group)
-        hit = _search(state, i + 1, env2, distinct2, nkey, nmin, nmax)
-        if hit is not None:
-            return hit
-        used.difference_update(m.id for m in group)
-        del groups[cons.cons_index]
-        return None
+        hit = _search(state, i + 1, env, distinct, nkey, nmin, nmax)
+        if hit is None:
+            used.difference_update(m.id for m in group)
+        return hit
     bind_terms = cons.bind_terms
     for m in (reversed(cands) if cp.last else cands):
-        if m.id in used or eligible is not None and not eligible(m):
+        if m.id in used:
             continue
         r = extend_env(bind_terms, m, env, distinct)
         if r is None:
             continue
-        ok, nkey, nmin, nmax = _order_ok(cp, (m,), prev_key, min_ts, max_ts)
-        if not ok:
-            continue
+        if ordered:
+            ok, nkey, nmin, nmax = _order_ok(cp, (m,), prev_key, min_ts, max_ts)
+            if not ok:
+                continue
+        if final:
+            if alt.negatives and not _negations_ok(
+                alt, a_idx, get_candidates, r[0], r[1], now, nmax, lookup
+            ):
+                continue
+            groups[cons.cons_index] = [m]
+            return r[0]
         groups[cons.cons_index] = [m]
         used.add(m.id)
         hit = _search(state, i + 1, r[0], r[1], nkey, nmin, nmax)
         if hit is not None:
             return hit
         used.discard(m.id)
-        del groups[cons.cons_index]
     return None
 
 
@@ -295,8 +251,6 @@ def _build_group(
     env,
     distinct,
     used: set[int],
-    now: int,
-    eligible,
 ):
     """Greedy policy-ordered group for an accumulation constituent.
 
@@ -304,14 +258,11 @@ def _build_group(
     until the count target is reached (count / hybrid) or the window is
     exhausted (pure window).  Hybrid below target falls back to the window
     contents only when a guard or transformer is present to arbitrate."""
-    w = cons.window_ms
     count_n = cons.count_n
     bind_terms = cons.bind_terms
     acc: list[Message] = []
     for m in (reversed(cands) if cp.last else cands):
-        if m.id in used or eligible is not None and not eligible(m):
-            continue
-        if w is not None and not (now - w < m.ts <= now):
+        if m.id in used:
             continue
         r = extend_env(bind_terms, m, env, distinct)
         if r is None:
@@ -322,7 +273,7 @@ def _build_group(
             break
     if count_n is not None and len(acc) < count_n:
         window_arbitrated = cons.transformers is not None or cp.guard is not None
-        if w is None or not window_arbitrated or not acc:
+        if cons.window_ms is None or not window_arbitrated or not acc:
             return None
     if not acc:
         return None
@@ -330,7 +281,7 @@ def _build_group(
     return acc, env, distinct
 
 
-def _negations_ok(alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible, lookup) -> bool:
+def _negations_ok(alt, a_idx, get_candidates, env, distinct, now, max_ts, lookup) -> bool:
     for cons in alt.negatives:
         w = cons.window_ms
         if w is not None and now < max_ts + w:
@@ -338,15 +289,8 @@ def _negations_ok(alt, a_idx, get_blockers, env, distinct, now, max_ts, eligible
         if lookup is not None and cons.join_key:
             blockers = lookup(a_idx, cons.cons_index, cons.probe_key(env))
         else:
-            blockers = get_blockers(a_idx, cons.cons_index)
+            blockers = get_candidates(a_idx, cons.cons_index)
         for m in blockers:
-            if eligible is not None and not eligible(m):
-                continue
-            if w is not None:
-                if not (now - w < m.ts <= now):
-                    continue
-            elif m.ts > now:
-                continue
             if extend_env(cons.bind_terms, m, env, distinct) is not None:
                 return False
     return True

@@ -101,6 +101,9 @@ class CompiledAlternative:
     # search only combinations that hold a message newer than its last
     # fruitless evaluation
     delta: bool = False
+    # seq, interval or a windowed negation: the search tracks each partial
+    # combination's order and ts spread
+    ordered: bool = False
     # the positives that carry transformers, in textual order
     transformed: tuple[CompiledConstituent, ...] = ()
 
@@ -251,6 +254,7 @@ def compile_program(program: Program) -> CompiledProgram:
             alt.negatives = [c for c in constituents if c.negated]
             alt.transformed = tuple(c for c in alt.positives if c.transformers is not None)
             windows = [c.window_ms for c in alt.negatives if c.window_ms is not None]
+            alt.ordered = bool(windows) or past.options.seq or past.options.interval is not None
             for cons in alt.positives:
                 if windows and not cons.accumulates:
                     cons.settle_ms = max(windows)
@@ -425,24 +429,13 @@ class AlphaRouter:
 
 def expiry_bounds(compiled: CompiledProgram, lifetime_ms: int | None) -> dict[str, int | None]:
     """Per referenced message type: the greatest age at which a message of it
-    is still eligible, the lower of ``lifetime_ms`` and the type's retention
+    is still live, the lower of ``lifetime_ms`` and the type's retention
     bound (None when neither bounds it)."""
     return {
         tag: lifetime_ms if bound is None or lifetime_ms is not None and lifetime_ms < bound
         else bound
         for tag, bound in compiled.retention_ms.items()
     }
-
-
-def eligibility_predicate(bounds: dict[str, int | None], now: int):
-    """Retention/lifetime predicate at ``now`` applied to every candidate and
-    blocker, given the :func:`expiry_bounds` of their types."""
-
-    def eligible(m) -> bool:
-        bound = bounds[m.type_tag.name]
-        return bound is None or now - m.ts <= bound
-
-    return eligible
 
 
 def dead_forever(m, cons: CompiledConstituent, bound: int | None, now: int) -> bool:

@@ -24,15 +24,15 @@ its slots' dead heads; any other goes on the agenda.  A death never starts a
 cycle, as the oracle never evaluates at one.
 
 Every evaluation runs the decision procedure shared with the brute-force oracle
-(:mod:`sprw.combine`), which re-checks windows, negation clearance,
-unification, ``seq`` and ``interval`` on every candidate it considers.  The
-oracle offers it every retained message; the engine only narrows which
-candidates those are:
+(:mod:`sprw.combine`), which checks negation clearance, unification, ``seq``
+and ``interval`` on every candidate it considers, and no message's age: the
+slot views of both callers yield only messages that are not
+:func:`compile.dead_forever`.  The oracle offers it every such message; the
+engine only narrows which candidates those are:
 
-* The engine's slots yield only messages within retention and lifetime:
-  eligibility fails only with age, so dropping each buffer's dead head
-  suffices, for candidates and blockers alike.  The engine passes no
-  eligibility predicate.
+* The engine's slots drop their dead heads before they yield: a message only
+  dies with age, so the rest of a ts-ascending buffer is live, for
+  candidates and blockers alike.
 * A plain positive slot keyed on the variables it shares with the other
   positives, and a negated slot keyed on its variables the positives bind,
   keep an index from key values to their messages, in buffer order.  Routing
@@ -85,7 +85,6 @@ from .compile import (
     CompiledPattern,
     CompiledProgram,
     dead_forever,
-    eligibility_predicate,
     expiry_bounds,
 )
 from .errors import SprwError, TimeRegression
@@ -124,7 +123,7 @@ class Network:
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
         self._timers: list[tuple] = []  # (due, pattern, seq, payload)
         self._timer_seq = 0
-        # per message type: the greatest age at which its messages are eligible
+        # per message type: the greatest age at which its messages are live
         self._bounds = expiry_bounds(compiled, lifetime_ms)
         # (due, pattern): a message in one of the pattern's slots dies of
         # retention or lifetime at due
@@ -272,7 +271,7 @@ class Network:
             if watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives):
                 agenda.add(p_idx)
             else:
-                (callbacks[p_idx] or self._slot_callbacks(patterns[p_idx]))[3]()
+                (callbacks[p_idx] or self._slot_callbacks(patterns[p_idx]))[2]()
         out: list[MatchResult] = []
         if not agenda:
             return out
@@ -308,13 +307,10 @@ class Network:
                 agenda.discard(p_idx)
                 continue
 
-            get_candidates, get_blockers, lookup, _ = callbacks[p_idx] or self._slot_callbacks(cp)
+            get_candidates, lookup, _ = callbacks[p_idx] or self._slot_callbacks(cp)
             fp_before = self._pattern_fingerprint(cp, now) if self.on_guard_false else None
-            # every candidate and blocker the callbacks yield is eligible, so
-            # the engine passes no eligibility predicate
             outcome = evaluate_pattern(
-                cp, get_candidates, get_blockers, now, None, self.cycle,
-                lookup, watermark[p_idx],
+                cp, get_candidates, now, self.cycle, lookup, watermark[p_idx]
             )
             # a match or a diagnostic keeps the pattern on the agenda
             if outcome.result is not None:
@@ -332,15 +328,15 @@ class Network:
 
     def _slot_callbacks(self, cp: CompiledPattern):
         """The decision procedure's view of one pattern's slots at the
-        current clock: (get_candidates, get_blockers, lookup, drop_dead),
-        where lookup is None unless some constituent is keyed, and drop_dead
-        drops the dead head of every slot; built once per pattern.
+        current clock: (get_candidates, lookup, drop_dead), where lookup is
+        None unless some constituent is keyed, and drop_dead drops the dead
+        head of every slot; built once per pattern.
 
-        Every message they yield that the decision procedure can use is
-        eligible: each slot follows a dropped dead head, as eligibility fails
-        only with age and the buffers ascend in ts.  A plain positive beside
-        windowed negatives yields only its messages at least ``settle_ms``
-        old, the only ones that can join a valid combination yet."""
+        Every message they yield is live: each slot follows a dropped dead
+        head, as a message only dies with age and the buffers ascend in ts.
+        A plain positive beside windowed negatives yields only its messages
+        at least ``settle_ms`` old, the only ones that can join a valid
+        combination yet; a negated slot has no ``settle_ms``."""
         index = self.index
         clock = self._now
         # per alternative, per constituent: (store, slot, constituent, bound,
@@ -376,9 +372,6 @@ class Network:
             settle = view[5]
             return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
 
-        def get_blockers(a_idx, c_idx):
-            return live(views[a_idx][c_idx])
-
         def lookup(a_idx, c_idx, key):
             view = views[a_idx][c_idx]
             live(view)
@@ -393,9 +386,7 @@ class Network:
                 live(view)
 
         keyed = any(c.join_key for alt in cp.alternatives for c in alt.constituents)
-        built = self._callbacks[cp.index] = (
-            get_candidates, get_blockers, lookup if keyed else None, drop_dead
-        )
+        built = self._callbacks[cp.index] = (get_candidates, lookup if keyed else None, drop_dead)
         return built
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
@@ -454,19 +445,19 @@ class Network:
         Returns the number of distinct messages removed.  Idempotent at a
         fixed ``now``."""
         bounds = self._bounds if lifetime_ms is None else expiry_bounds(self.cp, lifetime_ms)
-        keep = eligibility_predicate(bounds, now)
         removed: set[int] = set()
         for store in (self.buffers, self.blockers):
             for (p_idx, a_idx, c_idx), buf in store.items():
-                # eligibility fails only with age: the dropped messages are a prefix
-                drop = 0
-                while drop < len(buf) and not keep(buf[drop]):
-                    removed.add(buf[drop].id)
-                    drop += 1
+                bound = bounds[buf[0].type_tag.name] if buf else None
+                if bound is None:
+                    continue
+                # a message only dies with age: the dead ones are a prefix
+                drop = bisect_left(buf, now - bound, key=_TS)
                 if drop:
+                    removed.update(m.id for m in buf[:drop])
                     cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
                     _drop_heads(buf, drop, cons, self.index)
-                    # a lifetime shorter than the network's removes eligible messages
+                    # a lifetime shorter than the network's removes live messages
                     self._agenda.add(p_idx)
         # the watermarks stay: removing messages creates no combination
         return len(removed)

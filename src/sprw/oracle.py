@@ -5,9 +5,12 @@ alpha routing is precomputed in one forward pass over the trace (the stream
 operators are deterministic in the message order alone), every evaluation
 point re-enumerates candidate combinations over the full retained message
 set, and the decision procedure itself is the shared one from
-:mod:`sprw.combine`.  Evaluation points are derived from the trace: every
-message event, plus every window/negation boundary a routed message induces,
-plus debounce-clear points injected as matches occur.
+:mod:`sprw.combine`.  Its slot views alone decide liveness, with the rule
+the engine uses, :func:`compile.dead_forever`.  A message a pattern consumed
+is no longer that pattern's candidate, but still blocks its negations.
+Evaluation points are derived from the trace: every message event, plus
+every window/negation boundary a routed message induces, plus debounce-clear
+points injected as matches occur.
 
 The output is a pure function of (program, trace, lifetime); the acceptance
 suite requires it to be byte-identical to the engine's.
@@ -19,13 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .combine import evaluate_pattern
-from .compile import (
-    AlphaRouter,
-    CompiledProgram,
-    dead_forever,
-    eligibility_predicate,
-    expiry_bounds,
-)
+from .compile import AlphaRouter, CompiledProgram, dead_forever, expiry_bounds
 from .matching import Diagnostic, MatchResult, Message, extend_env
 from .tracefile import AdvanceEvent, TraceEvent
 
@@ -87,11 +84,9 @@ def oracle_run(
     scheduled: set[int] = set(timer_points)
 
     # Retained store, indexed per (pattern, alternative, constituent).  A per
-    # slot start index skips messages that can never match again (consumed by
-    # this pattern, or past their window/retention forever); eligibility at
-    # the current instant is still decided by the shared predicates.
-    cands: dict[tuple[int, int, int], list[Message]] = {}
-    blocks: dict[tuple[int, int, int], list[Message]] = {}
+    # slot start index skips the leading messages that can never match again:
+    # consumed by this pattern, or dead_forever, which only comes with age.
+    retained: dict[tuple[int, int, int], list[Message]] = {}
     starts: dict[tuple[int, int, int], int] = {}
     consumed: list[set[int]] = [set() for _ in compiled.patterns]
     last_activation: list[int | None] = [None] * len(compiled.patterns)
@@ -99,8 +94,8 @@ def oracle_run(
     cycle = 0
     empty: list[Message] = []
 
-    def live_slice(store, slot, cons, now, skip_consumed):
-        lst = store.get(slot)
+    def live_slice(slot, cons, now, skip_consumed):
+        lst = retained.get(slot)
         if not lst:
             return empty
         start = starts.get(slot, 0)
@@ -117,7 +112,6 @@ def oracle_run(
     def eval_all(now: int) -> None:
         nonlocal cycle
         cycle += 1
-        eligible = eligibility_predicate(bounds, now)
         for cp in compiled.patterns:
             p_idx = cp.index
             if cp.debounce_ms is not None:
@@ -127,13 +121,10 @@ def oracle_run(
 
             def get_candidates(a_idx, c_idx, _p=p_idx, _cp=cp):
                 cons = _cp.alternatives[a_idx].constituents[c_idx]
-                return live_slice(cands, (_p, a_idx, c_idx), cons, now, consumed[_p])
+                skip = None if cons.negated else consumed[_p]
+                return live_slice((_p, a_idx, c_idx), cons, now, skip)
 
-            def get_blockers(a_idx, c_idx, _p=p_idx, _cp=cp):
-                cons = _cp.alternatives[a_idx].constituents[c_idx]
-                return live_slice(blocks, (_p, a_idx, c_idx), cons, now, None)
-
-            outcome = evaluate_pattern(cp, get_candidates, get_blockers, now, eligible, cycle)
+            outcome = evaluate_pattern(cp, get_candidates, now, cycle)
             out.diagnostics.extend(outcome.diagnostics)
             if outcome.result is not None:
                 consumed[p_idx].update(m.id for m in outcome.result.messages)
@@ -150,8 +141,7 @@ def oracle_run(
         if phase == 1:
             msg = messages[order]
             for cons, _, _ in routed[order]:
-                store = blocks if cons.negated else cands
-                store.setdefault(cons.slot, []).append(msg)
+                retained.setdefault(cons.slot, []).append(msg)
         eval_all(time)
     return out
 

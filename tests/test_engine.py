@@ -171,9 +171,9 @@ class TestAgenda:
         evaluated = []
         evaluate = sprw.engine.evaluate_pattern
 
-        def recording(cp, get_candidates, get_blockers, now, *args):
+        def recording(cp, get_candidates, now, *args):
             evaluated.append((cp.name, now))
-            return evaluate(cp, get_candidates, get_blockers, now, *args)
+            return evaluate(cp, get_candidates, now, *args)
 
         monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
         net = build(

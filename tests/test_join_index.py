@@ -348,9 +348,9 @@ def _gated_replay(monkeypatch, text, events, lifetime=None):
     evaluated = []
     evaluate = sprw.engine.evaluate_pattern
 
-    def recording(cp, get_candidates, get_blockers, now, *args):
+    def recording(cp, get_candidates, now, *args):
         evaluated.append(now)
-        return evaluate(cp, get_candidates, get_blockers, now, *args)
+        return evaluate(cp, get_candidates, now, *args)
 
     monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
     diff = differential(compile_program(expand(parse_program(text))), events, lifetime)
@@ -436,10 +436,10 @@ def test_gc_keeps_the_watermark(monkeypatch):
     full_searches = []
     evaluate = sprw.engine.evaluate_pattern
 
-    def recording(cp, get_candidates, get_blockers, now, eligible, cycle, lookup, watermark):
+    def recording(cp, get_candidates, now, cycle, lookup, watermark):
         if watermark is None:
             full_searches.append((cp.name, now))
-        return evaluate(cp, get_candidates, get_blockers, now, eligible, cycle, lookup, watermark)
+        return evaluate(cp, get_candidates, now, cycle, lookup, watermark)
 
     monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
     net = Network(compiled)

@@ -177,15 +177,12 @@ def compiled_pattern(text):
 
 
 def run_selection(cp, buffers, now, blockers=None):
-    blockers = blockers or {}
+    slots = {**buffers, **(blockers or {})}  # keyed by cons_index
 
     def get_candidates(a, c):
-        return buffers.get(c, [])
+        return slots.get(c, [])
 
-    def get_blockers(a, c):
-        return blockers.get(c, [])
-
-    return evaluate_pattern(cp, get_candidates, get_blockers, now, lambda m: True)
+    return evaluate_pattern(cp, get_candidates, now)
 
 
 class TestSelection:
@@ -272,6 +269,8 @@ def brute_force(cp, buffers, now):
 
 
 SELECTION_PATTERNS = [
+    "pattern p as {:a, x}",
+    "pattern p as {:a, x}, options: [last: true]",
     "pattern p as {:a, x} and {:b, x} and {:c, y}",
     "pattern p as {:a, x} and {:b, x} and {:c, y}, options: [last: true]",
     "pattern p as {:a, x} and {:b, y} and {:c, y}, options: [seq: true]",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from sprw.compile import compile_program
@@ -72,6 +74,23 @@ def test_time_insensitive_programs_derive_no_timer_points():
     assert all(m.at in event_times for m in out.results)
 
 
+def test_a_consumed_message_still_blocks_the_patterns_negations():
+    # {:a, 1} is consumed by the first alternative at 10, yet it still blocks
+    # `not {:a, x}` in the second, so {:c, 1} never fires
+    diff = differential(
+        compiled("pattern p as {:a, x} and {:b, x} or {:c, x} and not {:a, x}"),
+        events(
+            ("m", 0, "a", (1,)),
+            ("m", 10, "b", (1,)),
+            ("m", 20, "c", (1,)),
+            ("a", 100, "", ()),
+        ),
+    )
+    assert diff.divergence() == ""
+    records = [json.loads(line) for line in diff.engine_records]
+    assert [(r["at"], r["messageIds"]) for r in records] == [(10, [1, 2])]
+
+
 def test_seeded_cases_agree_with_engine():
     for seed in range(25):
         case = generate_case(5000 + seed, n_events=100)
@@ -95,9 +114,9 @@ def test_diagnostics_and_match_cycles_agree_with_engine(seed, n_events, i):
 
 @pytest.mark.parametrize("lifetime_ms", [300, 1_500, 5_000])
 def test_lifetimes_agree_with_engine(lifetime_ms):
-    # `sprw fuzz` and criterion 4 replay without a lifetime, so only this
-    # reaches the expiry heap under a lifetime and the dead-head drop of
-    # blockers across the operator grid
+    # criterion 4 replays without a lifetime; this pins the expiry heap under
+    # a lifetime and the dead-head drop of blockers across the operator grid
+    # in tier-1, as `sprw fuzz` does over its own seeds
     for i in range(6 * len(OP_GRID)):
         case = generate_case(70_000 + i, force_op=OP_GRID[i % len(OP_GRID)])
         detail = differential(compiled(case.program_text), case.trace, lifetime_ms).divergence()
