@@ -10,6 +10,11 @@ state) -> new_state`` (library mode) and *emit* reactions that append an
 output record and leave the state untouched (harness mode).  Reactions bound
 to one pattern fire in binding order, each receiving the state returned by
 the previous one.  Rebinding during a step is deferred to the step's end.
+
+``cell.outputs`` is the one record of what fired: an emit reaction, or a
+match with no reaction bound, appends its output record there.  The cell
+keeps no other history of matches, so a long-running host drains
+``outputs`` after each step to keep the actor's memory bounded.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ class ActorCell:
     reactions: dict[str, list[ReactionRef]]
     state: Any = None
     outputs: list[dict] = field(default_factory=list)
-    matches_log: list[MatchResult] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     inbox: deque = field(default_factory=deque)
     _in_step: bool = False
@@ -149,7 +153,6 @@ def step(cell: ActorCell, now: int) -> list[FiredReaction]:
         matches.extend(net.advance_time(max(now, net.clock)))
 
         for match in matches:
-            cell.matches_log.append(match)
             refs = list(cell.reactions.get(match.pattern, ()))
             if not refs:
                 cell.outputs.append(output_record(match, None))

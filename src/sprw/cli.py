@@ -9,13 +9,20 @@ Subcommands:
 Exit codes: 0 success, 2 parse/load error, 3 runtime diagnostics occurred
 (run), 1 divergence (oracle/fuzz).  All time comes from the trace; the
 harness never reads the wall clock.
+
+``run`` streams: it decodes the trace once in full to check it, keeping only
+the message types it names, and then decodes it again line by line, writing
+each record as it fires.  Its memory does not grow with the trace, and a
+trace that fails to decode writes no record and creates no ``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from collections.abc import Iterator
 
 from .actor import deliver, spawn, step
 from .compile import compile_program
@@ -26,7 +33,7 @@ from .fuzzgen import OP_GRID, generate_case
 from .nodes import Program, Selector, Var
 from .parser import parse_program
 from .printer import pattern_text
-from .tracefile import AdvanceEvent, MessageEvent, load_trace, record_line
+from .tracefile import AdvanceEvent, MessageEvent, decode_lines, file_lines, record_line
 from .values import Duration, TIME_UNITS
 
 
@@ -76,9 +83,9 @@ def _load_program(path: str) -> Program:
         return parse_program(fh.read())
 
 
-def _load_events(path: str):
+def _trace_events(path: str) -> Iterator:
     with open(path, encoding="utf-8") as fh:
-        return load_trace(fh.read())
+        yield from decode_lines(file_lines(fh))
 
 
 def parse_lifetime(text: str | None) -> int | None:
@@ -97,43 +104,57 @@ def parse_lifetime(text: str | None) -> int | None:
 
 
 def run_records(program: Program, events, lifetime_ms: int | None = None):
-    """Replay a loaded trace through one actor; returns (record lines, diagnostics)."""
+    """Replay a loaded trace through one actor; returns (record lines,
+    diagnostics, cell), the cell's outputs drained."""
     cell = spawn(program, lifetime_ms=lifetime_ms)
+    lines = list(replay(cell, events))
+    return lines, _diagnostics(cell), cell
+
+
+def replay(cell, events) -> Iterator[str]:
+    """Deliver and step each event, yielding each record line as it fires
+    and draining ``cell.outputs`` after every step."""
+    outputs = cell.outputs
     for ev in events:
         if isinstance(ev, AdvanceEvent):
             step(cell, ev.to)
         else:
             deliver(cell, ev.type_tag, ev.attrs, ev.ts)
             step(cell, ev.ts)
-    lines = [record_line(rec) for rec in cell.outputs]
-    return lines, list(cell.network.diagnostics) + list(cell.diagnostics), cell
+        if outputs:
+            for rec in outputs:
+                yield record_line(rec)
+            outputs.clear()
+
+
+def _diagnostics(cell) -> list:
+    return list(cell.network.diagnostics) + list(cell.diagnostics)
 
 
 def _cmd_run(args) -> int:
     program = _load_program(args.patterns)
-    events = _load_events(args.trace)
+    # the first pass fails on a bad trace before any record is written
+    types = dict.fromkeys(ev.type_tag.name for ev in _trace_events(args.trace)
+                          if isinstance(ev, MessageEvent))
     lifetime = parse_lifetime(args.lifetime)
-    lines, diagnostics, cell = run_records(program, events, lifetime)
-    _warn_unrouted(cell.compiled, events)
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    cell = spawn(program, lifetime_ms=lifetime)
+    _warn_unrouted(cell.compiled, types)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for line in replay(cell, _trace_events(args.trace)):
+            out.write(line + "\n")
+    diagnostics = _diagnostics(cell)
     for d in diagnostics:
         print(f"diagnostic: {d.kind} in {d.pattern} at {d.at}: {d.detail}", file=sys.stderr)
     return 3 if diagnostics else 0
 
 
-def _warn_unrouted(compiled, events) -> None:
-    warned: set[str] = set()
-    for ev in events:
-        if isinstance(ev, MessageEvent) and ev.type_tag.name not in compiled.routing:
-            if ev.type_tag.name not in warned:
-                warned.add(ev.type_tag.name)
-                print(f"warning: no pattern references message type :{ev.type_tag.name}",
-                      file=sys.stderr)
+def _warn_unrouted(compiled, types) -> None:
+    """Warn about each message type, in first-seen order, that no pattern
+    references, then about each type that nothing bounds."""
+    for name in types:
+        if name not in compiled.routing:
+            print(f"warning: no pattern references message type :{name}", file=sys.stderr)
     for _, warning in _retention_warnings(compiled):
         print(warning, file=sys.stderr)
 
@@ -206,7 +227,7 @@ def _shared_variables(cp):
 
 def _cmd_oracle(args) -> int:
     compiled = compile_program(expand(_load_program(args.patterns)))
-    diff = differential(compiled, _load_events(args.trace), parse_lifetime(args.lifetime))
+    diff = differential(compiled, list(_trace_events(args.trace)), parse_lifetime(args.lifetime))
     if args.perturb and diff.engine_records:
         del diff.engine_records[len(diff.engine_records) // 2]
     divergence = diff.divergence()

@@ -558,9 +558,3 @@ class Parser:
 def parse_program(text: str) -> Program:
     """Parse a full ``.sprw`` source into a :class:`Program`."""
     return Parser(text).parse_program()
-
-
-def parse_program_counted(text: str) -> tuple[Program, Counter]:
-    """Like :func:`parse_program` but also returns production firing counts."""
-    p = Parser(text)
-    return p.parse_program(), p.productions

@@ -17,6 +17,7 @@ binding keys, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import TraceError
@@ -63,11 +64,22 @@ _NO_ATTRS: list = []  # a message without "attrs" has none
 
 
 def load_trace(text: str) -> list[TraceEvent]:
-    events: list[TraceEvent] = []
-    append = events.append
+    return list(decode_lines(text.splitlines()))
+
+
+def file_lines(fh) -> Iterator[str]:
+    """An open text file's lines, split as ``str.splitlines`` splits its whole
+    text, which also breaks lines at form feeds, U+2028 and the like."""
+    for physical in fh:
+        yield from physical.splitlines()
+
+
+def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """Decode trace lines one at a time, numbering them from 1; raises
+    :class:`TraceError` at the first line that does not decode."""
     tags: dict[str, Symbol] = {}  # one Symbol per distinct message type
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw or raw[0] == "#":
             continue
@@ -89,7 +101,7 @@ def load_trace(text: str) -> list[TraceEvent]:
             if current is not None and to < current:
                 raise TraceError(f"timestamp regression at line {lineno}", lineno)
             current = to
-            append(AdvanceEvent(to, lineno))
+            yield AdvanceEvent(to, lineno)
             continue
         if "ts" not in obj or "type" not in obj:
             raise TraceError("message needs 'ts' and 'type'", lineno)
@@ -112,8 +124,7 @@ def load_trace(text: str) -> list[TraceEvent]:
             attrs = tuple(map(decode_value, raw_attrs))
         except ValueError as err:
             raise TraceError(str(err), lineno) from None
-        append(MessageEvent(ts, type_tag, attrs, lineno))
-    return events
+        yield MessageEvent(ts, type_tag, attrs, lineno)
 
 
 def output_record(match: MatchResult, reaction: str | None) -> dict:

@@ -24,7 +24,6 @@ def test_match_without_reaction_still_reported_and_consumed():
     deliver(cell, "window", ("w1", Symbol("open"), Symbol("kitchen")), 0)
     fired = step(cell, 0)
     assert fired == []
-    assert len(cell.matches_log) == 1
     assert [r["reaction"] for r in cell.outputs] == [None]
     assert cell.network.buffered_total() == 0
 
@@ -72,7 +71,7 @@ def test_remove_reactions_clears_but_matches_continue():
     deliver(cell, "window", ("w1", Symbol("open"), Symbol("kitchen")), 0)
     fired = step(cell, 0)
     assert fired == []
-    assert len(cell.matches_log) == 1
+    assert len(cell.outputs) == 1
 
 
 def test_state_threads_through_reactions():

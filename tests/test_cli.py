@@ -6,10 +6,12 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import CORPUS_DIR, fixture_path
+from sprw import cli
 from sprw.compile import compile_program
 from sprw.errors import CompileError
 from sprw.expand import expand
@@ -151,6 +153,67 @@ def test_trace_attrs_not_a_list_exit_2(tmp_path):
     assert r.returncode == 2
     assert "line 2: 'attrs' must be a list" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_run_bad_trace_writes_no_record(tmp_path):
+    # the first two lines each fire `p`; a trace that fails to decode still
+    # fails before any record is written or the --out file is created
+    patterns = tmp_path / "p.sprw"
+    patterns.write_text("pattern p as {:a, x}\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"ts": 0, "type": ":a", "attrs": [1]}\n'
+                     '{"ts": 1, "type": ":a", "attrs": [2]}\n'
+                     '{"ts": 2, "type": ":a", "attrs": [3\n')
+    out = tmp_path / "out.jsonl"
+    for extra in ((), ("--out", str(out))):
+        r = run_cli("run", "--patterns", str(patterns), "--trace", str(trace), *extra)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: line 3: invalid JSON: Expecting ',' delimiter\n"
+    assert not out.exists()
+
+
+def test_run_stderr_order_unrouted_retention_diagnostics(tmp_path):
+    patterns = tmp_path / "p.sprw"
+    patterns.write_text("pattern p as {:a, x} when x > :oops\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"ts": 0, "type": ":z", "attrs": [1]}\n'
+                     '{"ts": 5, "type": ":a", "attrs": [1]}\n'
+                     '{"ts": 7, "type": ":y"}\n')
+    r = run_cli("run", "--patterns", str(patterns), "--trace", str(trace))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == (
+        "warning: no pattern references message type :z\n"
+        "warning: no pattern references message type :y\n"
+        "warning: messages of type :a are retained until consumed\n"
+        "diagnostic: TypeMismatch in p at 5: TypeMismatch: 1 > :oops\n"
+        "diagnostic: TypeMismatch in p at 7: TypeMismatch: 1 > :oops\n"
+    )
+
+
+def test_run_memory_does_not_grow_with_the_trace(tmp_path):
+    # every message fires `p` once and is consumed, so nothing the actor
+    # needs grows with the trace: neither may what `run` holds on the way
+    patterns = tmp_path / "p.sprw"
+    patterns.write_text("pattern p as {:a, x, y} when y > 0\nreact_to p, with: emit(seen)\n")
+    trace, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
+    args = ["run", "--patterns", str(patterns), "--trace", str(trace), "--out", str(out)]
+
+    def traced_peak(n):
+        trace.write_text("".join(f'{{"ts": {i}, "type": ":a", "attrs": [{i}, 1]}}\n'
+                                 for i in range(n)))
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == n
+        return peak
+
+    traced_peak(10)  # first-use allocations stay out of both readings
+    assert traced_peak(4_000) - traced_peak(1_000) < 256 * 1024
 
 
 def test_constant_tests_keep_one_and_true_apart(tmp_path):

@@ -443,7 +443,7 @@ def test_replay_and_oracle_leave_no_cyclic_garbage(text, events):
     try:
         lines, diagnostics, cell = run_records(parse_program(text), events)
         oracle = oracle_run(cell.compiled, events)
-        matched = len(cell.matches_log)
+        matched = len(lines)
         assert gc.collect() == 0
         del cell
         assert gc.collect() == 0

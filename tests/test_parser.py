@@ -14,7 +14,7 @@ from sprw.nodes import (
     Var,
     Window,
 )
-from sprw.parser import parse_program, parse_program_counted
+from sprw.parser import Parser, parse_program
 from sprw.values import Duration, Symbol
 
 from conftest import CORPUS_FILES, SCENARIOS, corpus_text, fixture_path
@@ -162,8 +162,9 @@ def test_grammar_production_coverage():
         fixture_path(f"scenario{i}.sprw").read_text(encoding="utf-8") for i in SCENARIOS
     ]
     for text in sources:
-        _, counts = parse_program_counted(text)
-        for key, n in counts.items():
+        parser = Parser(text)
+        parser.parse_program()
+        for key, n in parser.productions.items():
             totals[key] = totals.get(key, 0) + n
     missing = [key for key in EXPECTED_PRODUCTIONS if totals.get(key, 0) == 0]
     assert not missing, f"productions never fired: {missing}"

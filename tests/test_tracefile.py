@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sprw.errors import TraceError
-from sprw.tracefile import AdvanceEvent, MessageEvent, load_trace
+from sprw.tracefile import AdvanceEvent, MessageEvent, decode_lines, file_lines, load_trace
 from sprw.values import Symbol
 
 # trace text, line, message
@@ -59,3 +59,39 @@ def test_skipped_lines_keep_later_line_numbers():
         AdvanceEvent(9, 6),
         MessageEvent(9, Symbol("b"), (), 7),
     ]
+
+
+
+# str.splitlines also breaks lines at form feeds, \x1c-\x1e and U+2028;
+# iterating a file breaks them at newlines only
+ODD_BREAKS = (
+    '# head\r\n\r\n{"ts": 1, "type": ":a", "attrs": ["s"]}\r\n\x0c\r\n'
+    '{"ts": 2, "type": ":b"}\u2028{"advance": 5}\r\n  # c\r\n\x1c{"ts": 6, "type": ":a"}\n'
+)
+
+
+@pytest.mark.parametrize("text, expected", [
+    (ODD_BREAKS, [
+        MessageEvent(1, Symbol("a"), ("s",), 3),
+        MessageEvent(2, Symbol("b"), (), 6),
+        AdvanceEvent(5, 7),
+        MessageEvent(6, Symbol("a"), (), 10),
+    ]),
+    (ODD_BREAKS + '{"ts": 7, "type": ":a", "attrs": ["x\u2028y"]}\r\n',
+     ("line 11: invalid JSON: Unterminated string starting at", 11)),
+    (ODD_BREAKS + '{"ts": 7, "type": ":a"}\x0c{"ts": 6, "type": ":a"}\n',
+     ("line 12: timestamp regression at line 12", 12)),
+], ids=["valid", "u2028_in_string", "regression_after_form_feed"])
+def test_streamed_file_decodes_as_the_whole_text(tmp_path, text, expected):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(decode):
+        try:
+            return decode()
+        except TraceError as err:
+            return str(err), err.line
+
+    assert outcome(lambda: load_trace(text)) == expected
+    with open(path, encoding="utf-8") as fh:
+        assert outcome(lambda: list(decode_lines(file_lines(fh)))) == expected
