@@ -21,7 +21,7 @@ from .errors import (
     TraceError,
 )
 from .expand import expand
-from .matching import Diagnostic, MatchResult, Message, apply_transformers, eval_expr, unify_selector
+from .matching import Diagnostic, MatchResult, Message, apply_transformers, eval_expr
 from .nodes import Program
 from .oracle import oracle_run
 from .parser import parse_program
@@ -65,7 +65,6 @@ __all__ = [
     "replay_trace",
     "spawn",
     "step",
-    "unify_selector",
 ]
 
 __version__ = "0.1.0"

@@ -55,8 +55,6 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--trace", required=True)
     p_oracle.add_argument("--diff", action="store_true")
     p_oracle.add_argument("--lifetime")
-    p_oracle.add_argument("--perturb", action="store_true",
-                          help="test-only: drop one engine record to show diff output")
 
     p_fuzz = sub.add_parser("fuzz", help="random differential testing")
     p_fuzz.add_argument("--count", type=int, default=200)
@@ -228,8 +226,6 @@ def _shared_variables(cp):
 def _cmd_oracle(args) -> int:
     compiled = compile_program(expand(_load_program(args.patterns)))
     diff = differential(compiled, list(_trace_events(args.trace)), parse_lifetime(args.lifetime))
-    if args.perturb and diff.engine_records:
-        del diff.engine_records[len(diff.engine_records) // 2]
     divergence = diff.divergence()
     if args.diff:
         print(divergence or f"identical ({len(diff.engine_records)} records)")

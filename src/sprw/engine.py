@@ -11,12 +11,15 @@ timers is one match-cycle, at the instants the oracle evaluates, so the cycle
 numbers are the oracle's.  A cycle evaluates the patterns on the agenda in
 declaration order, each at most once.  Routing to a pattern's slot, a window
 expiry that trims one, a negation-clear or debounce-clear timer, and
-consumption put a pattern on the agenda.  A miss, a failed readiness gate or
-an active debounce take it off: until its state moves again, the oracle's
-evaluation of it misses too.  A diagnostic keeps it on, so the diagnostic
-repeats every cycle, as in the oracle.  Retention and lifetime deaths are the
-only moves no timer announces: a routed message whose ``bound``, the lower of
-the lifetime and its type's retention, is finite puts ``(ts + bound + 1,
+consumption put a pattern on the agenda.  Any outcome but a match takes it
+off: a miss, a failed readiness gate, an active debounce, a guard rejection
+or a diagnostic; until its state moves again, the oracle's evaluation of it
+ends the same way.  A diagnostic is reported when it first arises, and again
+only after an evaluation of the pattern ends otherwise (a match, a miss, a
+guard rejection or a failed readiness gate), by the oracle's rule: once per
+episode, not once per cycle.  Retention and lifetime deaths are the only
+moves no timer announces: a routed message whose ``bound``, the lower of the
+lifetime and its type's retention, is finite puts ``(ts + bound + 1,
 pattern)`` on an expiry heap that every cycle first drains.  A death only
 removes combinations, so it wakes only patterns it can change: one whose
 alternatives are all delta and whose watermark is set (see below) only drops
@@ -68,7 +71,7 @@ engine only narrows which candidates those are:
 The slot callbacks read the clock from a one-element list, not from the
 Network, so a Network holds no reference cycle and reference counting frees it.
 
-A Network is single-writer: insert/advance_time/gc must be serialised by the
+A Network is single-writer: ingest/advance_time/gc must be serialised by the
 owning context.  Returned results are immutable and may be shared freely.
 """
 
@@ -77,7 +80,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable
 
 from .combine import evaluate_pattern
 from .compile import (
@@ -87,7 +89,7 @@ from .compile import (
     dead_forever,
     expiry_bounds,
 )
-from .errors import SprwError, TimeRegression
+from .errors import TimeRegression
 from .matching import Diagnostic, MatchResult, Message, extend_env
 
 _EMPTY: list[Message] = []
@@ -97,15 +99,9 @@ _SEQ = attrgetter("seq")
 
 
 class Network:
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        lifetime_ms: int | None = None,
-        on_guard_false: Callable | None = None,
-    ):
+    def __init__(self, compiled: CompiledProgram, lifetime_ms: int | None = None):
         self.cp = compiled
         self.lifetime_ms = lifetime_ms
-        self.on_guard_false = on_guard_false
         self.clock = 0
         self.cycle = 0
         self.next_ingest = 1
@@ -133,6 +129,8 @@ class Network:
         # per pattern: seq of the last routed message at an evaluation that
         # found no combination, or None when the next one must search in full
         self._watermark: list[int | None] = [None] * len(compiled.patterns)
+        # per pattern: whether its last evaluation reported a diagnostic
+        self._diagnosed: list[bool] = [False] * len(compiled.patterns)
         # per pattern: its _slot_callbacks, built on its first use
         self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
         # [the clock of the current evaluation], for the slot callbacks
@@ -145,22 +143,17 @@ class Network:
 
     def ingest(self, type_tag, attrs, ts: int) -> tuple[Message, list[MatchResult]]:
         """Build a message with the next id/seq and run its match-cycle."""
+        if ts < self.clock:
+            raise TimeRegression(ts, self.clock)
         n = self.next_ingest
         self.next_ingest += 1
         msg = Message(n, n, ts, type_tag, tuple(attrs))  # id, seq, ts, type_tag, attrs
-        return msg, self.insert(msg)
-
-    def insert(self, msg: Message) -> list[MatchResult]:
-        if msg.ts < self.clock:
-            raise TimeRegression(msg.ts, self.clock)
-        if msg.seq <= self.last_seq:
-            raise SprwError(f"sequence number {msg.seq} not increasing")
-        results = self._run_timers(msg.ts)
-        self.clock = msg.ts
-        self.last_seq = msg.seq
+        results = self._run_timers(ts)
+        self.clock = ts
+        self.last_seq = n
         self._route(msg)
         results.extend(self._eval_pass())
-        return results
+        return msg, results
 
     def advance_time(self, now: int) -> list[MatchResult]:
         if now < self.clock:
@@ -259,6 +252,7 @@ class Network:
         self._now[0] = now
         agenda = self._agenda
         watermark = self._watermark
+        diagnosed = self._diagnosed
         patterns = self.cp.patterns
         callbacks = self._callbacks
         expiries = self._expiries
@@ -304,26 +298,30 @@ class Network:
             else:
                 # no combination exists, as after a miss
                 watermark[p_idx] = self.last_seq
+                diagnosed[p_idx] = False
                 agenda.discard(p_idx)
                 continue
 
             get_candidates, lookup, _ = callbacks[p_idx] or self._slot_callbacks(cp)
-            fp_before = self._pattern_fingerprint(cp, now) if self.on_guard_false else None
             outcome = evaluate_pattern(
                 cp, get_candidates, now, self.cycle, lookup, watermark[p_idx]
             )
-            # a match or a diagnostic keeps the pattern on the agenda
+            # a match keeps the pattern on the agenda
             if outcome.result is not None:
                 self._consume(cp, outcome.result)
                 out.append(outcome.result)
-            elif outcome.diagnostics:
-                self.diagnostics.extend(outcome.diagnostics)
+                diagnosed[p_idx] = False
+                continue
+            agenda.discard(p_idx)
+            if outcome.diagnostics:
+                # reported once, until an evaluation ends otherwise
+                if not diagnosed[p_idx]:
+                    diagnosed[p_idx] = True
+                    self.diagnostics.extend(outcome.diagnostics)
                 watermark[p_idx] = None
             else:
-                if outcome.guard_failed and self.on_guard_false:
-                    self.on_guard_false(cp.name, fp_before, self._pattern_fingerprint(cp, now))
+                diagnosed[p_idx] = False
                 watermark[p_idx] = None if outcome.guard_failed else self.last_seq
-                agenda.discard(p_idx)
         return out
 
     def _slot_callbacks(self, cp: CompiledPattern):
@@ -420,35 +418,17 @@ class Network:
         if cp.debounce_ms is not None:
             self._schedule(result.at + cp.debounce_ms + 1, p_idx, None)
 
-    def _pattern_fingerprint(self, cp: CompiledPattern, now: int):
-        """Live buffer contents for the guard-no-consume invariant check.
-
-        Messages already past every bound are pruned lazily, so the physical
-        lists may shrink during an evaluation; the semantically live view is
-        what a rejected guard must leave intact."""
-        parts = []
-        for alt in cp.alternatives:
-            for cons in alt.constituents:
-                store = self.blockers if cons.negated else self.buffers
-                bound = self._bounds[cons.selector.type_tag.name]
-                parts.append(tuple(
-                    m.id for m in store.get(cons.slot, _EMPTY)
-                    if not dead_forever(m, cons, bound, now)
-                ))
-        return tuple(parts), self.consumed[cp.index]
-
     # -- garbage collection -----------------------------------------------------
 
-    def gc(self, now: int, lifetime_ms: int | None = None) -> int:
+    def gc(self, now: int) -> int:
         """Drop every buffered message past its lifetime or retention bound.
 
         Returns the number of distinct messages removed.  Idempotent at a
         fixed ``now``."""
-        bounds = self._bounds if lifetime_ms is None else expiry_bounds(self.cp, lifetime_ms)
         removed: set[int] = set()
         for store in (self.buffers, self.blockers):
             for (p_idx, a_idx, c_idx), buf in store.items():
-                bound = bounds[buf[0].type_tag.name] if buf else None
+                bound = self._bounds[buf[0].type_tag.name] if buf else None
                 if bound is None:
                     continue
                 # a message only dies with age: the dead ones are a prefix
@@ -457,7 +437,8 @@ class Network:
                     removed.update(m.id for m in buf[:drop])
                     cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
                     _drop_heads(buf, drop, cons, self.index)
-                    # a lifetime shorter than the network's removes live messages
+                    # with ``now`` past the clock, the dropped messages may
+                    # still be live at the clock
                     self._agenda.add(p_idx)
         # the watermarks stay: removing messages creates no combination
         return len(removed)
@@ -514,15 +495,12 @@ def _settled(msgs: list[Message], upto: int) -> list[Message]:
 
 
 def replay_trace(
-    compiled: CompiledProgram,
-    events,
-    lifetime_ms: int | None = None,
-    network: Network | None = None,
+    compiled: CompiledProgram, events, lifetime_ms: int | None = None
 ) -> tuple[list[MatchResult], Network]:
     """Feed a loaded trace straight through a network under the virtual clock."""
     from .tracefile import AdvanceEvent
 
-    net = network if network is not None else Network(compiled, lifetime_ms=lifetime_ms)
+    net = Network(compiled, lifetime_ms=lifetime_ms)
     matches: list[MatchResult] = []
     for ev in events:
         if isinstance(ev, AdvanceEvent):

@@ -68,13 +68,9 @@ def index_mismatch(net: Network) -> str:
 
 
 def differential(
-    compiled: CompiledProgram,
-    events,
-    lifetime_ms: int | None = None,
-    network: Network | None = None,
+    compiled: CompiledProgram, events, lifetime_ms: int | None = None
 ) -> Differential:
-    """Replay ``events`` through ``network`` (a new one under ``lifetime_ms``
-    when None) and through the oracle."""
+    """Replay ``events`` through a new network and through the oracle."""
     labels: dict[str, list[str]] = {}
     for b in compiled.bindings:
         labels.setdefault(b.pattern, []).append(b.label)
@@ -82,7 +78,7 @@ def differential(
     def encode(matches):
         return [record_line(r) for r in records_for(matches, lambda n: labels.get(n, []))]
 
-    engine_matches, net = replay_trace(compiled, events, lifetime_ms, network)
+    engine_matches, net = replay_trace(compiled, events, lifetime_ms)
     oracle_out = oracle_run(compiled, events, lifetime_ms)
     return Differential(
         encode(engine_matches), encode(oracle_out.results), engine_matches, oracle_out, net

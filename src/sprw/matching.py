@@ -13,20 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import EvalError
-from .nodes import (
-    Bind,
-    BinOp,
-    Const,
-    Expr,
-    Fold,
-    Lit,
-    MayDistinct,
-    MustDistinct,
-    NotOp,
-    Selector,
-    Var,
-    VarRef,
-)
+from .nodes import Bind, BinOp, Expr, Fold, Lit, NotOp, VarRef
 from .values import Symbol, Value, is_number, value_in, values_equal
 
 
@@ -70,57 +57,15 @@ class Diagnostic:
 # unification
 
 
-def unify_selector(
-    sel: Selector,
-    msg: Message,
-    env: dict[str, Value] | None = None,
-    distinct: dict[str, list[Value]] | None = None,
-) -> tuple[dict[str, Value], dict[str, list[Value]]] | None:
-    """Unify one message against one selector under existing bindings.
-
-    Bare variables bind or must agree with ``env``.  ``@name`` matches any
-    value without touching the environment.  ``!name`` adds the value to the
-    name's distinctness set and fails if it is already present.  Returns the
-    extended (env, distinct) pair, or None when the message does not match.
-    """
-    env = env if env is not None else {}
-    distinct = distinct if distinct is not None else {}
-    if msg.type_tag != sel.type_tag or len(msg.attrs) != len(sel.terms):
-        return None
-    new_env: dict[str, Value] | None = None
-    new_distinct: dict[str, list[Value]] | None = None
-    for term, value in zip(sel.terms, msg.attrs):
-        if isinstance(term, Const):
-            if not values_equal(term.value, value):
-                return None
-        elif isinstance(term, Var):
-            current = (new_env or env).get(term.name, _MISSING)
-            if current is _MISSING:
-                if new_env is None:
-                    new_env = dict(env)
-                new_env[term.name] = value
-            elif not values_equal(current, value):
-                return None
-        elif isinstance(term, MayDistinct):
-            pass
-        else:  # MustDistinct
-            seen = (new_distinct or distinct).get(term.name, ())
-            if value_in(value, seen):
-                return None
-            if new_distinct is None:
-                new_distinct = {k: list(v) for k, v in distinct.items()}
-            new_distinct.setdefault(term.name, []).append(value)
-    return (new_env if new_env is not None else env,
-            new_distinct if new_distinct is not None else distinct)
-
-
 _MISSING = object()
 
 
 def extend_env(bind_terms, msg: Message, env, distinct):
-    """Join-step unification against a message already admitted by its alpha
-    node (type, arity and constant tests hold), walking only the variable and
-    must-distinct terms.  Semantics identical to :func:`unify_selector`."""
+    """Unify a message its alpha node admitted (type, arity and constant
+    tests hold) under ``env`` and ``distinct``.  ``bind_terms`` are its
+    selector's (position, name, kind) terms: a variable (kind 0) binds or
+    must agree with ``env``, and ``!name`` (kind 1) fails on a value already
+    in the name's distinctness set.  The extended (env, distinct), or None."""
     attrs = msg.attrs
     new_env = None
     new_distinct = None

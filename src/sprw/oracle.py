@@ -10,7 +10,10 @@ the engine uses, :func:`compile.dead_forever`.  A message a pattern consumed
 is no longer that pattern's candidate, but still blocks its negations.
 Evaluation points are derived from the trace: every message event, plus
 every window/negation boundary a routed message induces, plus debounce-clear
-points injected as matches occur.
+points injected as matches occur.  Every pattern is evaluated at every point.
+A diagnostic is reported when it first arises, and again only after an
+evaluation of the pattern ends otherwise (a match, a miss or a guard
+rejection): once per episode, not once per evaluation, as in the engine.
 
 The output is a pure function of (program, trace, lifetime); the acceptance
 suite requires it to be byte-identical to the engine's.
@@ -90,6 +93,8 @@ def oracle_run(
     starts: dict[tuple[int, int, int], int] = {}
     consumed: list[set[int]] = [set() for _ in compiled.patterns]
     last_activation: list[int | None] = [None] * len(compiled.patterns)
+    # per pattern: whether its last evaluation reported a diagnostic
+    diagnosed = [False] * len(compiled.patterns)
     bounds = expiry_bounds(compiled, lifetime_ms)
     cycle = 0
     empty: list[Message] = []
@@ -125,7 +130,9 @@ def oracle_run(
                 return live_slice((_p, a_idx, c_idx), cons, now, skip)
 
             outcome = evaluate_pattern(cp, get_candidates, now, cycle)
-            out.diagnostics.extend(outcome.diagnostics)
+            if outcome.diagnostics and not diagnosed[p_idx]:
+                out.diagnostics.extend(outcome.diagnostics)
+            diagnosed[p_idx] = bool(outcome.diagnostics)
             if outcome.result is not None:
                 consumed[p_idx].update(m.id for m in outcome.result.messages)
                 last_activation[p_idx] = now

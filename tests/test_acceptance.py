@@ -22,7 +22,7 @@ from sprw.engine import Network, replay_trace
 from sprw.expand import expand
 from sprw.fuzz import differential
 from sprw.fuzzgen import OP_GRID, generate_case
-from sprw.matching import Message, unify_selector
+from sprw.matching import Message
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
 from sprw.printer import pretty_print
@@ -31,6 +31,7 @@ from sprw.tracefile import MessageEvent, AdvanceEvent, load_trace
 from sprw.values import Symbol
 
 from conftest import CORPUS_FILES, SCENARIOS, fixture_path
+from spec import guard_no_consume, unify_selector
 
 
 def report(n, ok, detail=""):
@@ -136,47 +137,45 @@ class CorpusRun:
 def corpus_run():
     run = CorpusRun()
     started = time.monotonic()
-    for i in range(200):
-        seed = 31_000 + i
-        if i % 50 == 49:
-            n_events = 1000
-        elif i % 20 == 19:
-            n_events = 400
-        else:
-            n_events = 120
-        case = generate_case(seed, n_events=n_events, force_op=OP_GRID[i % len(OP_GRID)])
-        run.ops_covered |= case.ops
-        run.cases += 1
+    # the engine's guard rejections must leave every slot as they found it
+    with pytest.MonkeyPatch.context() as mp:
+        rejections = guard_no_consume(mp)
+        for i in range(200):
+            seed = 31_000 + i
+            if i % 50 == 49:
+                n_events = 1000
+            elif i % 20 == 19:
+                n_events = 400
+            else:
+                n_events = 120
+            case = generate_case(seed, n_events=n_events, force_op=OP_GRID[i % len(OP_GRID)])
+            run.ops_covered |= case.ops
+            run.cases += 1
 
-        program = parse_program(case.program_text)
-        compiled = compile_program(expand(program))
-        guard_bad = []
+            program = parse_program(case.program_text)
+            compiled = compile_program(expand(program))
+            guard_seen = len(rejections)
+            diff = differential(compiled, case.trace)
+            # records, diagnostics and match cycles
+            if diff.divergence():
+                run.mismatches.append(seed)
+            engine_matches = diff.engine_matches
 
-        def hook(name, before, after, _bad=guard_bad):
-            if before != after:
-                _bad.append(name)
-
-        diff = differential(compiled, case.trace, network=Network(compiled, on_guard_false=hook))
-        # records, diagnostics and match cycles
-        if diff.divergence():
-            run.mismatches.append(seed)
-        engine_matches = diff.engine_matches
-
-        per_cycle = Counter((m.pattern, m.cycle) for m in engine_matches)
-        if any(v > 1 for v in per_cycle.values()):
-            run.cycle_violations.append(seed)
-        by_pattern: dict[str, list[int]] = {}
-        for m in engine_matches:
-            by_pattern.setdefault(m.pattern, []).extend(x.id for x in m.messages)
-        for name, ids in by_pattern.items():
-            if len(ids) != len(set(ids)):
-                run.reuse_violations.append((seed, name))
-        all_sets = [set(ids) for ids in by_pattern.values()]
-        for a, b in itertools.combinations(all_sets, 2):
-            if a & b:
-                run.cross_pattern_reuse_seen = True
-        if guard_bad:
-            run.guard_violations.append(seed)
+            per_cycle = Counter((m.pattern, m.cycle) for m in engine_matches)
+            if any(v > 1 for v in per_cycle.values()):
+                run.cycle_violations.append(seed)
+            by_pattern: dict[str, list[int]] = {}
+            for m in engine_matches:
+                by_pattern.setdefault(m.pattern, []).extend(x.id for x in m.messages)
+            for name, ids in by_pattern.items():
+                if len(ids) != len(set(ids)):
+                    run.reuse_violations.append((seed, name))
+            all_sets = [set(ids) for ids in by_pattern.values()]
+            for a, b in itertools.combinations(all_sets, 2):
+                if a & b:
+                    run.cross_pattern_reuse_seen = True
+            if not all(untouched for _, untouched in rejections[guard_seen:]):
+                run.guard_violations.append(seed)
     run.elapsed = time.monotonic() - started
     return run
 

@@ -18,12 +18,13 @@ from sprw.tracefile import AdvanceEvent, MessageEvent
 from sprw.values import Symbol
 
 from conftest import corpus_text
+from spec import guard_no_consume
 from test_acceptance import _perf_events, _perf_program
 
 
-def build(text, lifetime_ms=None, **kwargs):
+def build(text, lifetime_ms=None):
     compiled = compile_program(expand(parse_program(text)))
-    return Network(compiled, lifetime_ms=lifetime_ms, **kwargs)
+    return Network(compiled, lifetime_ms=lifetime_ms)
 
 
 def feed(net, tag, attrs, ts):
@@ -367,14 +368,14 @@ class TestGc:
         assert net.gc(7_200_000) == 1
         assert net.gc(7_200_000) == 0  # idempotent
 
-    def test_gc_under_a_shorter_lifetime_moves_the_pattern(self):
-        # removing a blocker that is still eligible under the network's own
-        # (unbounded) lifetime moves the pattern's state like any other removal
-        net = build("pattern p as {:a, x} and not {:m, x}")
+    def test_gc_ahead_of_the_clock_moves_the_pattern(self):
+        # gc(now) with now past the clock removes a blocker that is still
+        # live at the clock: that moves the pattern's state like any removal
+        net = build("pattern p as {:a, x} and not {:m, x}", lifetime_ms=1_000)
         feed(net, "m", (1,), 0)
-        assert feed(net, "a", (1,), 1_500) == []
-        assert net.gc(1_800, lifetime_ms=1_000) == 1
-        assert [(m.pattern, m.at) for m in feed(net, "zz", (), 1_900)] == [("p", 1_900)]
+        assert feed(net, "a", (1,), 500) == []
+        assert net.gc(1_200) == 1
+        assert [(m.pattern, m.at) for m in feed(net, "zz", (), 600)] == [("p", 600)]
 
     def test_window_referenced_message_retained(self):
         net = build(corpus_text("fig15"))
@@ -396,15 +397,11 @@ class TestGc:
         assert net.gc(4 * week) == 1  # beyond every referencing window
         assert net.gc(4 * week) == 0
 
-    def test_guard_failure_leaves_buffers_untouched(self):
-        seen = []
-
-        def hook(name, before, after):
-            seen.append((name, before == after))
-
-        net = build("pattern p as {:a, x} when x > 10", on_guard_false=hook)
+    def test_guard_failure_leaves_buffers_untouched(self, monkeypatch):
+        rejections = guard_no_consume(monkeypatch)
+        net = build("pattern p as {:a, x} when x > 10")
         feed(net, "a", (1,), 0)
-        assert seen and all(same for _, same in seen)
+        assert rejections == [("p", True)]
         assert net.buffered_total() == 1
 
 

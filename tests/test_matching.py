@@ -9,15 +9,12 @@ from sprw.combine import evaluate_pattern
 from sprw.compile import compile_program
 from sprw.errors import EvalError
 from sprw.expand import expand
-from sprw.matching import (
-    Message,
-    apply_transformers,
-    eval_expr,
-    unify_selector,
-)
+from sprw.matching import Message, apply_transformers, eval_expr
 from sprw.nodes import BinOp, Lit, VarRef
 from sprw.parser import parse_program
 from sprw.values import Symbol
+
+from spec import unify_selector
 
 
 def sel_of(text):

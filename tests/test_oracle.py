@@ -112,6 +112,22 @@ def test_diagnostics_and_match_cycles_agree_with_engine(seed, n_events, i):
     assert ok, f"seed {seed}: {detail}\n{case.program_text}"
 
 
+def test_a_diagnostic_is_reported_once_per_episode():
+    # the guard raises while an `:a` is in its window: the `:y` cycles in
+    # between end no episode, the window's expiry at 1,000 (a miss) does
+    c = compiled("pattern p as {:a, x}[window: {1, :secs}] when x > :oops")
+    trace = events(
+        ("m", 0, "a", (1,)),
+        *[("m", t, "y", ()) for t in range(10, 1_510, 10)],
+        ("m", 1_500, "a", (2,)),
+        *[("m", t, "y", ()) for t in range(1_510, 3_000, 10)],
+    )
+    diff = differential(c, trace)
+    assert [d.at for d in diff.network.diagnostics] == [0, 1_500]
+    assert [d.at for d in diff.oracle.diagnostics] == [0, 1_500]
+    assert diff.divergence() == ""
+
+
 @pytest.mark.parametrize("lifetime_ms", [300, 1_500, 5_000])
 def test_lifetimes_agree_with_engine(lifetime_ms):
     # criterion 4 replays without a lifetime; this pins the expiry heap under
