@@ -12,11 +12,11 @@ module-level function over an explicit state tuple, not a closure, so an
 evaluation leaves no reference cycle: reference counting frees all of it.
 An alternative with one positive runs the same search, one step deep.
 
-The caller's slot views decide liveness: they yield only messages that are
-not ``compile.dead_forever`` at the evaluation instant, so the search checks
-no retention, lifetime or window age.  It checks unification, ``seq``,
-``interval`` and negation, and skips the ``seq``/``interval`` bookkeeping on
-an alternative with neither and no windowed negation.
+The caller's slot views decide liveness: they yield only messages younger
+than their slot's ``compile.death_age`` at the evaluation instant, so the
+search checks no retention, lifetime or window age.  It checks unification,
+``seq``, ``interval`` and negation, and skips the ``seq``/``interval``
+bookkeeping on an alternative with neither and no windowed negation.
 
 Optional inputs, which only the engine passes, narrow the search without
 changing its result.  A ``lookup`` callback returns a keyed slot's messages

@@ -438,18 +438,16 @@ def expiry_bounds(compiled: CompiledProgram, lifetime_ms: int | None) -> dict[st
     }
 
 
-def dead_forever(m, cons: CompiledConstituent, bound: int | None, now: int) -> bool:
-    """True when a message buffered for ``cons`` can never take part in a
-    combination again: it is past the constituent's window or slot bound, or
-    past ``bound``, the expiry bound of its type.  Every one of these only
-    comes with age, so the dead messages of a ts-ascending buffer are a
-    prefix."""
-    age = now - m.ts
-    return (
-        cons.window_ms is not None and age >= cons.window_ms
-        or cons.slot_bound_ms is not None and age > cons.slot_bound_ms
-        or bound is not None and age > bound
-    )
+def death_age(cons: CompiledConstituent, bound: int | None) -> int | None:
+    """The least message age at which a message buffered for ``cons`` can
+    never take part in a combination again: its window, one past its slot
+    bound, or one past ``bound``, the expiry bound of its type; None when
+    none is set.  Ages are integer milliseconds, and a message only dies with
+    age, so the dead messages of a ts-ascending buffer are a prefix."""
+    ages = [b + 1 for b in (cons.slot_bound_ms, bound) if b is not None]
+    if cons.window_ms is not None:
+        ages.append(cons.window_ms)
+    return min(ages, default=None)
 
 
 def _retention_bounds(patterns: list[CompiledPattern]) -> dict[str, int | None]:

@@ -2,9 +2,9 @@
 
 A :class:`Network` owns mutable match state for one actor: per-constituent
 buffers fed through shared alpha nodes, a hash index beside each keyed
-buffer, per-pattern consumed counts, a timer queue realising windows,
-negation deadlines and match debouncing, and an agenda of the patterns whose
-state moved since their last evaluation.
+buffer, a timer queue realising windows, negation deadlines and match
+debouncing, and an agenda of the patterns whose state moved since their last
+evaluation.
 
 Evaluation discipline: every message arrival and every group of same-due
 timers is one match-cycle, at the instants the oracle evaluates, so the cycle
@@ -17,30 +17,38 @@ or a diagnostic; until its state moves again, the oracle's evaluation of it
 ends the same way.  A diagnostic is reported when it first arises, and again
 only after an evaluation of the pattern ends otherwise (a match, a miss, a
 guard rejection or a failed readiness gate), by the oracle's rule: once per
-episode, not once per cycle.  Retention and lifetime deaths are the only
-moves no timer announces: a routed message whose ``bound``, the lower of the
-lifetime and its type's retention, is finite puts ``(ts + bound + 1,
-pattern)`` on an expiry heap that every cycle first drains.  A death only
-removes combinations, so it wakes only patterns it can change: one whose
-alternatives are all delta and whose watermark is set (see below) only drops
-its slots' dead heads; any other goes on the agenda.  A death never starts a
-cycle, as the oracle never evaluates at one.
+episode, not once per cycle.
+
+Every slot has one death age (:func:`compile.death_age`): the age at which a
+message there can never take part in a combination again.  A message dying
+at its window's expiry is dropped by that expiry's timer, which wakes the
+pattern.  Any other death, past the slot bound or the ``bound`` of the
+message's type (the lower of the lifetime and the type's retention), is a
+move no timer announces: routing puts ``(ts + death age, pattern, slot)`` on
+an expiry heap, and every cycle first drains it, dropping each such slot's
+dead messages.  So a dead message is gone by the start of the first cycle at
+or after its death.  A death past ``bound`` wakes the pattern, unless its
+alternatives are all delta and its watermark is set (see below): a death
+there can only remove combinations, and the last evaluation found none.  A
+death past the slot bound wakes nothing, as such a message is in no valid
+combination.  A death never starts a cycle, as the oracle never evaluates at
+one.
 
 Every evaluation runs the decision procedure shared with the brute-force oracle
 (:mod:`sprw.combine`), which checks negation clearance, unification, ``seq``
 and ``interval`` on every candidate it considers, and no message's age: the
-slot views of both callers yield only messages that are not
-:func:`compile.dead_forever`.  The oracle offers it every such message; the
-engine only narrows which candidates those are:
+slot views of both callers yield only messages younger than their slot's
+death age.  The oracle offers it every such message; the engine only
+narrows which candidates those are:
 
-* The engine's slots drop their dead heads before they yield: a message only
-  dies with age, so the rest of a ts-ascending buffer is live, for
+* The engine's slots are live by construction: every cycle reads them after
+  their dead messages are dropped, so the slot views check no age, for
   candidates and blockers alike.
 * A plain positive slot keyed on the variables it shares with the other
   positives, and a negated slot keyed on its variables the positives bind,
   keep an index from key values to their messages, in buffer order.  Routing
-  appends to it; the dead-head drop, window trims, consumption and gc edit
-  its buckets in place.  So a join step, or a negation, fetches one bucket.
+  appends to it; dropping the dead, consumption and gc edit its buckets in
+  place.  So a join step, or a negation, fetches one bucket.
 * On a delta alternative (no negation, every positive plain and keyed on the
   same variables) a combination of buffered messages can only lose validity
   as time passes: retention, lifetime and dead-message expiry only remove
@@ -64,9 +72,8 @@ engine only narrows which candidates those are:
   many messages as a count group there needs (its ``min_group``).  A delta
   alternative whose watermark is set passes only if some message newer than
   the watermark has a non-empty bucket in every other positive's index, a
-  necessary condition for a new combination.  The gate reads the raw buffers
-  and buckets: a dead message there can only let it pass, and the search
-  still sees only live messages.  A skip is a miss: it sets the watermark.
+  necessary condition for a new combination.  A skip is a miss: it sets the
+  watermark.
 
 The slot callbacks read the clock from a one-element list, not from the
 Network, so a Network holds no reference cycle and reference counting frees it.
@@ -86,7 +93,7 @@ from .compile import (
     AlphaRouter,
     CompiledPattern,
     CompiledProgram,
-    dead_forever,
+    death_age,
     expiry_bounds,
 )
 from .errors import TimeRegression
@@ -113,17 +120,15 @@ class Network:
         # buffer order (no empty lists)
         self.index: dict[tuple[int, int, int], dict[tuple, list[Message]]] = {}
         self.blockers: dict[tuple[int, int, int], list[Message]] = {}
-        # per pattern: the number of messages it has consumed
-        self.consumed: list[int] = [0] * len(compiled.patterns)
         self.router = AlphaRouter(compiled)
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
         self._timers: list[tuple] = []  # (due, pattern, seq, payload)
         self._timer_seq = 0
         # per message type: the greatest age at which its messages are live
         self._bounds = expiry_bounds(compiled, lifetime_ms)
-        # (due, pattern): a message in one of the pattern's slots dies of
-        # retention or lifetime at due
-        self._expiries: list[tuple[int, int]] = []
+        # (due, pattern, slot): a message in the slot dies at due, before
+        # any window expiry
+        self._expiries: list[tuple[int, int, tuple]] = []
         # the patterns whose state moved since their last evaluation
         self._agenda: set[int] = set()
         # per pattern: seq of the last routed message at an evaluation that
@@ -138,6 +143,9 @@ class Network:
         # per routed alpha node (by id): its targets as (pattern, slot,
         # constituent, store, timers, death), built on the node's first message
         self._routes: dict[int, tuple] = {}
+        # per routed slot: (constituent, store, death age, whether a death
+        # there wakes the pattern), built with its route plan
+        self._slots: dict[tuple, tuple] = {}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -182,17 +190,20 @@ class Network:
                 for delay, payload in timers:
                     self._schedule(ts + delay, p_idx, payload)
                 if death is not None:
-                    heappush(self._expiries, (ts + death, p_idx))
+                    heappush(self._expiries, (ts + death, p_idx, slot))
                 agenda.add(p_idx)
 
     def _route_plan(self, spec) -> tuple:
         """Per target of an alpha node: where its messages go, the timers
         (delay, payload) each one sets (its own window's expiry, and one
         negation clearance per windowed negative beside a positive), and its
-        :meth:`_death_age`."""
+        slot's death age unless its window's expiry timer announces it.
+        Records each target slot in ``_slots``."""
         plan = []
         for p_idx, a_idx, cons in spec.targets:
-            timers = [] if cons.window_ms is None else [(cons.window_ms, cons)]
+            bound = self._bounds[cons.selector.type_tag.name]
+            death = death_age(cons, bound)
+            timers = [] if cons.window_ms is None else [(cons.window_ms, cons.slot)]
             if not cons.negated:
                 timers += [
                     (neg.window_ms, None)
@@ -200,23 +211,16 @@ class Network:
                     if neg.window_ms is not None
                 ]
             store = self.blockers if cons.negated else self.buffers
-            plan.append((p_idx, cons.slot, cons, store, tuple(timers), self._death_age(cons)))
+            self._slots[cons.slot] = (cons, store, death, bound is not None and death == bound + 1)
+            plan.append((p_idx, cons.slot, cons, store, tuple(timers),
+                         None if death == cons.window_ms else death))
         return tuple(plan)
 
-    def _death_age(self, cons) -> int | None:
-        """The age at which a message in ``cons``'s slot dies of retention or
-        lifetime before its window's expiry timer trims it, or None when it
-        never does."""
-        bound = self._bounds[cons.selector.type_tag.name]
-        if bound is not None and (cons.window_ms is None or bound + 1 < cons.window_ms):
-            return bound + 1
-        return None
-
     def _schedule(self, due: int, pattern_idx: int, payload) -> None:
-        """Queue a timer; ``payload`` is the windowed constituent whose slot it
-        trims, or None for a pure time flip (negation clearance or debounce
-        expiry).  The unique sequence number keeps heap comparisons off the
-        payload."""
+        """Queue a timer; ``payload`` is the windowed slot whose dead messages
+        it drops, or None for a pure time flip (negation clearance or
+        debounce expiry).  The unique sequence number keeps heap
+        comparisons off the payload."""
         self._timer_seq += 1
         heappush(self._timers, (due, pattern_idx, self._timer_seq, payload))
 
@@ -228,22 +232,28 @@ class Network:
         while timers and timers[0][0] <= upto:
             due = timers[0][0]
             while timers and timers[0][0] == due:
-                _, p_idx, _, cons = heappop(timers)
-                if cons is None:
+                _, p_idx, _, slot = heappop(timers)
+                if slot is None:
                     # a pure time flip: the pattern must be re-examined even
                     # though no buffer content moved
                     agenda.add(p_idx)
                     continue
-                # expired window: the slot's contents can be dropped
-                buf = (self.blockers if cons.negated else self.buffers).get(cons.slot)
-                # ts ascending: the expired messages are a prefix
-                expired = bisect_right(buf, due - cons.window_ms, key=_TS) if buf else 0
-                if expired:
-                    _drop_heads(buf, expired, cons, self.index)
+                if self._drop_expired(slot, due):
                     agenda.add(p_idx)
             self.clock = due
             results.extend(self._eval_pass())
         return results
+
+    def _drop_expired(self, slot, now: int) -> int:
+        """Drop the messages of a routed ``slot`` dead at ``now``, those at
+        least its death age old: a prefix, as the buffers ascend in ts.
+        Returns how many."""
+        cons, store, death, _ = self._slots[slot]
+        buf = store.get(slot)
+        dead = bisect_right(buf, now - death, key=_TS) if buf else 0
+        if dead:
+            _drop_heads(buf, dead, cons, self.index)
+        return dead
 
     def _eval_pass(self) -> list[MatchResult]:
         """One match-cycle at the current clock over the agenda."""
@@ -257,15 +267,14 @@ class Network:
         callbacks = self._callbacks
         expiries = self._expiries
         while expiries and expiries[0][0] <= now:
-            p_idx = heappop(expiries)[1]
-            # a death only removes combinations: a delta pattern whose last
-            # evaluation found none still finds none, so only its heads go,
-            # even if it is on the agenda, as its readiness gate reads the
-            # raw buffers
-            if watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives):
+            _, p_idx, slot = heappop(expiries)
+            self._drop_expired(slot, now)
+            # only retention and lifetime deaths wake (see the module
+            # docstring); a delta pattern that found none still finds none
+            if self._slots[slot][3] and (
+                watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives)
+            ):
                 agenda.add(p_idx)
-            else:
-                (callbacks[p_idx] or self._slot_callbacks(patterns[p_idx]))[2]()
         out: list[MatchResult] = []
         if not agenda:
             return out
@@ -302,7 +311,7 @@ class Network:
                 agenda.discard(p_idx)
                 continue
 
-            get_candidates, lookup, _ = callbacks[p_idx] or self._slot_callbacks(cp)
+            get_candidates, lookup = callbacks[p_idx] or self._slot_callbacks(cp)
             outcome = evaluate_pattern(
                 cp, get_candidates, now, self.cycle, lookup, watermark[p_idx]
             )
@@ -326,71 +335,40 @@ class Network:
 
     def _slot_callbacks(self, cp: CompiledPattern):
         """The decision procedure's view of one pattern's slots at the
-        current clock: (get_candidates, lookup, drop_dead), where lookup is
-        None unless some constituent is keyed, and drop_dead drops the dead
-        head of every slot; built once per pattern.
+        current clock: (get_candidates, lookup), where lookup is None unless
+        some constituent is keyed; built once per pattern.
 
-        Every message they yield is live: each slot follows a dropped dead
-        head, as a message only dies with age and the buffers ascend in ts.
-        A plain positive beside windowed negatives yields only its messages
-        at least ``settle_ms`` old, the only ones that can join a valid
-        combination yet; a negated slot has no ``settle_ms``."""
+        They read the slots as they are: a cycle drops every dead message
+        before it evaluates.  A plain positive beside windowed negatives
+        yields only its messages at least ``settle_ms`` old, the only ones
+        that can join a valid combination yet; a negated slot has no
+        ``settle_ms``."""
         index = self.index
         clock = self._now
-        # per alternative, per constituent: (store, slot, constituent, bound,
-        # mortal, settle), where bound is the expiry bound of the slot's type
-        # and mortal says whether the slot can hold a dead message that its
-        # window's expiry timers have not trimmed
+        # per alternative, per constituent: (store, slot, settle)
         views = [
-            [
-                (self.blockers if c.negated else self.buffers, c.slot, c,
-                 self._bounds[c.selector.type_tag.name],
-                 c.slot_bound_ms is not None or self._death_age(c) is not None,
-                 c.settle_ms)
-                for c in alt.constituents
-            ]
+            [(self.blockers if c.negated else self.buffers, c.slot, c.settle_ms)
+             for c in alt.constituents]
             for alt in cp.alternatives
         ]
 
-        def live(view):
-            """The slot's buffer with its dead head dropped (index too)."""
-            store, slot, cons, bound, mortal, _ = view
-            buf = store.get(slot, _EMPTY)
-            if mortal and buf and dead_forever(buf[0], cons, bound, clock[0]):
-                now = clock[0]
-                drop = 1
-                while drop < len(buf) and dead_forever(buf[drop], cons, bound, now):
-                    drop += 1
-                _drop_heads(buf, drop, cons, index)
-            return buf
-
         def get_candidates(a_idx, c_idx):
-            view = views[a_idx][c_idx]
-            buf = live(view)
-            settle = view[5]
+            store, slot, settle = views[a_idx][c_idx]
+            buf = store.get(slot, _EMPTY)
             return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
 
         def lookup(a_idx, c_idx, key):
-            view = views[a_idx][c_idx]
-            live(view)
-            slot, settle = view[1], view[5]
+            _, slot, settle = views[a_idx][c_idx]
             bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
             return bucket if settle is None else _settled(bucket, clock[0] - settle)
 
-        every_view = [v for alt_views in views for v in alt_views]
-
-        def drop_dead():
-            for view in every_view:
-                live(view)
-
         keyed = any(c.join_key for alt in cp.alternatives for c in alt.constituents)
-        built = self._callbacks[cp.index] = (get_candidates, lookup if keyed else None, drop_dead)
+        built = self._callbacks[cp.index] = (get_candidates, lookup if keyed else None)
         return built
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
-        msgs = result.messages  # distinct: each counts once
-        self.consumed[p_idx] += len(msgs)
+        msgs = result.messages
         buffers = self.buffers
         for alt in cp.alternatives:
             for cons in alt.positives:
@@ -427,7 +405,7 @@ class Network:
         fixed ``now``."""
         removed: set[int] = set()
         for store in (self.buffers, self.blockers):
-            for (p_idx, a_idx, c_idx), buf in store.items():
+            for slot, buf in store.items():
                 bound = self._bounds[buf[0].type_tag.name] if buf else None
                 if bound is None:
                     continue
@@ -435,11 +413,10 @@ class Network:
                 drop = bisect_left(buf, now - bound, key=_TS)
                 if drop:
                     removed.update(m.id for m in buf[:drop])
-                    cons = self.cp.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
-                    _drop_heads(buf, drop, cons, self.index)
+                    _drop_heads(buf, drop, self._slots[slot][0], self.index)
                     # with ``now`` past the clock, the dropped messages may
                     # still be live at the clock
-                    self._agenda.add(p_idx)
+                    self._agenda.add(slot[0])
         # the watermarks stay: removing messages creates no combination
         return len(removed)
 
@@ -470,8 +447,7 @@ def _partnered_arrival(alt, buffers, index, watermark: int) -> bool:
     """Whether a message of delta alternative ``alt`` newer than ``watermark``
     has a non-empty bucket in every other positive's index.  Every new
     combination holds such a message, as every positive is keyed on the same
-    variables.  The raw buffers and buckets may still hold dead messages,
-    which can only make the answer True."""
+    variables."""
     positives = alt.positives
     for cons in positives:
         buf = buffers.get(cons.slot, _EMPTY)

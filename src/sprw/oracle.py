@@ -5,12 +5,13 @@ alpha routing is precomputed in one forward pass over the trace (the stream
 operators are deterministic in the message order alone), every evaluation
 point re-enumerates candidate combinations over the full retained message
 set, and the decision procedure itself is the shared one from
-:mod:`sprw.combine`.  Its slot views alone decide liveness, with the rule
-the engine uses, :func:`compile.dead_forever`.  A message a pattern consumed
-is no longer that pattern's candidate, but still blocks its negations.
-Evaluation points are derived from the trace: every message event, plus
-every window/negation boundary a routed message induces, plus debounce-clear
-points injected as matches occur.  Every pattern is evaluated at every point.
+:mod:`sprw.combine`.  Its slot views alone decide liveness, by the engine's
+rule: a message is dead from its slot's :func:`compile.death_age` on.  A
+message a pattern consumed is no longer that pattern's candidate, but still
+blocks its negations.  Evaluation points are derived from the trace: every
+message event, plus every window/negation boundary a routed message induces,
+plus debounce-clear points injected as matches occur.  Every pattern is
+evaluated at every point.
 A diagnostic is reported when it first arises, and again only after an
 evaluation of the pattern ends otherwise (a match, a miss or a guard
 rejection): once per episode, not once per evaluation, as in the engine.
@@ -25,7 +26,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .combine import evaluate_pattern
-from .compile import AlphaRouter, CompiledProgram, dead_forever, expiry_bounds
+from .compile import AlphaRouter, CompiledProgram, death_age, expiry_bounds
 from .matching import Diagnostic, MatchResult, Message, extend_env
 from .tracefile import AdvanceEvent, TraceEvent
 
@@ -88,7 +89,8 @@ def oracle_run(
 
     # Retained store, indexed per (pattern, alternative, constituent).  A per
     # slot start index skips the leading messages that can never match again:
-    # consumed by this pattern, or dead_forever, which only comes with age.
+    # consumed by this pattern, or at least the slot's death age old, which
+    # only comes with age.
     retained: dict[tuple[int, int, int], list[Message]] = {}
     starts: dict[tuple[int, int, int], int] = {}
     consumed: list[set[int]] = [set() for _ in compiled.patterns]
@@ -96,17 +98,20 @@ def oracle_run(
     # per pattern: whether its last evaluation reported a diagnostic
     diagnosed = [False] * len(compiled.patterns)
     bounds = expiry_bounds(compiled, lifetime_ms)
+    deaths = {cons.slot: death_age(cons, bounds[cons.selector.type_tag.name])
+              for cp in compiled.patterns for alt in cp.alternatives for cons in alt.constituents}
     cycle = 0
     empty: list[Message] = []
 
-    def live_slice(slot, cons, now, skip_consumed):
+    def live_slice(slot, now, skip_consumed):
         lst = retained.get(slot)
         if not lst:
             return empty
         start = starts.get(slot, 0)
+        death = deaths[slot]
         while start < len(lst) and (
             (skip_consumed is not None and lst[start].id in skip_consumed)
-            or dead_forever(lst[start], cons, bounds[cons.selector.type_tag.name], now)
+            or death is not None and now - lst[start].ts >= death
         ):
             start += 1
         starts[slot] = start
@@ -125,9 +130,8 @@ def oracle_run(
                     continue
 
             def get_candidates(a_idx, c_idx, _p=p_idx, _cp=cp):
-                cons = _cp.alternatives[a_idx].constituents[c_idx]
-                skip = None if cons.negated else consumed[_p]
-                return live_slice((_p, a_idx, c_idx), cons, now, skip)
+                skip = None if _cp.alternatives[a_idx].constituents[c_idx].negated else consumed[_p]
+                return live_slice((_p, a_idx, c_idx), now, skip)
 
             outcome = evaluate_pattern(cp, get_candidates, now, cycle)
             if outcome.diagnostics and not diagnosed[p_idx]:

@@ -2,15 +2,12 @@
 
 ``parse_program`` turns a ``.sprw`` source string into a :class:`Program`.
 Named references are recorded but not expanded here (see :mod:`sprw.expand`).
-
-The parser counts how often each grammar production fires (``productions``),
-which the test suite uses to assert full grammar coverage over the corpus.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from math import inf
 
 from .errors import ParseError
 from .nodes import (
@@ -136,7 +133,6 @@ class Parser:
         self.kinds, self.texts, self.starts = tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and prefix `not`s
-        self.productions: Counter[str] = Counter()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -180,7 +176,6 @@ class Parser:
     # -- program -----------------------------------------------------------
 
     def parse_program(self) -> Program:
-        self.productions["program"] += 1
         patterns: list[PatternAst] = []
         bindings: list[ReactionBinding] = []
         seen: set[str] = set()
@@ -203,7 +198,6 @@ class Parser:
         return Program(tuple(patterns), tuple(bindings))
 
     def parse_react_to(self) -> ReactionBinding:
-        self.productions["react-to"] += 1
         self.expect("react_to")
         name = self.expect("IDENT")
         self.expect(",")
@@ -221,14 +215,12 @@ class Parser:
     # -- pattern definitions -------------------------------------------------
 
     def parse_pattern_definition(self) -> PatternAst:
-        self.productions["pattern-definition"] += 1
         self.expect("pattern")
         name = self.expect("IDENT")
         self.expect("as")
         body = self.parse_body()
         guard = None
         if self.at("when"):
-            self.productions["guard"] += 1
             self.advance()
             guard = self.parse_expr()
         options = Options()
@@ -241,7 +233,6 @@ class Parser:
 
     def parse_body(self) -> OrGroup:
         # `and` binds tighter than `or`; both chains are left-to-right.
-        self.productions["pattern"] += 1
         alts: list[AndGroup] = []
         parts: list[ElemPattern] = [self.parse_elem_pattern()]
         while self.at("and", "or"):
@@ -256,7 +247,6 @@ class Parser:
         return OrGroup(tuple(alts))
 
     def parse_elem_pattern(self) -> ElemPattern:
-        self.productions["elem-pattern"] += 1
         negated = False
         if self.at("not"):
             self.advance()
@@ -286,7 +276,6 @@ class Parser:
         if self.at("{"):
             return self.parse_selector()
         if self.at("IDENT"):
-            self.productions["selector-ref"] += 1
             name = self.advance()
             refinements = []
             while self.at("{"):
@@ -296,7 +285,6 @@ class Parser:
                   {"{", "IDENT"})
 
     def parse_selector(self) -> Selector:
-        self.productions["selector"] += 1
         self.expect("{")
         tag = self.expect("SYMBOL")
         terms = []
@@ -307,39 +295,44 @@ class Parser:
         return Selector(Symbol(tag[1:]), tuple(terms))
 
     def parse_attribute(self):
-        self.productions["attribute"] += 1
         kind = self.kinds[self.pos]
         if kind in ("@", "!"):
-            self.productions["logic-var-marked"] += 1
             marker = self.advance()
             name = self.expect("IDENT")
             return MustDistinct(name) if marker == "!" else MayDistinct(name)
         if kind == "IDENT":
-            self.productions["logic-var"] += 1
             return Var(self.advance())
         return Const(self.parse_value())
 
     def parse_value(self):
         kind = self.kinds[self.pos]
         if kind == "SYMBOL":
-            self.productions["value-symbol"] += 1
             return Symbol(self.advance()[1:])
         if kind == "INT":
             return int(self.advance())
         if kind == "FLOAT":
-            return float(self.advance())
+            return self.parse_float(self.pos)
         if kind == "STRING":
             return _unquote(self.advance())
         if kind in ("true", "false"):
             self.advance()
             return kind == "true"
         if kind == "-" and self.kinds[self.pos + 1] in ("INT", "FLOAT"):
+            start = self.pos
             self.advance()
-            num_kind = self.kinds[self.pos]
-            num = self.advance()
-            return -int(num) if num_kind == "INT" else -float(num)
+            if self.kinds[self.pos] == "INT":
+                return -int(self.advance())
+            return -self.parse_float(start)
         self.fail(f"expected value, got {self.texts[self.pos] or 'end-of-input'!r}",
                   {"SYMBOL", "INT", "FLOAT", "STRING", "true", "false"})
+
+    def parse_float(self, start: int) -> float:
+        """Consume a FLOAT token; one too large for a double is reported at
+        token ``start``, as ``inf`` would print as a variable."""
+        value = float(self.advance())
+        if value == inf:
+            raise self.error("float literal too large", start)
+        return value
 
     def parse_refinement_group(self):
         self.expect("{")
@@ -352,18 +345,15 @@ class Parser:
 
     def parse_refinement(self):
         if self.at("@", "!"):
-            self.productions["refinement-distinct"] += 1
             marker = self.advance()
             name = self.expect("IDENT")
             return DistinctMark(marker, name)
         name = self.expect("IDENT")
         if self.at("~>"):
-            self.productions["alias-op"] += 1
             self.advance()
             dst = self.expect("IDENT")
             return AliasOp(name, dst)
         if self.at("="):
-            self.productions["inline-guard"] += 1
             self.advance()
             return InlineGuard(name, self.parse_expr())
         self.fail(f"expected refinement operator after {name!r}", {"=", "~>"})
@@ -389,7 +379,6 @@ class Parser:
             )
         self.advance()
         self.expect(":")
-        self.productions[f"operator-{key}"] += 1
         if key in ("window", "debounce"):
             dur = self.parse_time()
             return Window(dur) if key == "window" else Debounce(dur)
@@ -400,7 +389,6 @@ class Parser:
         return Every(n) if key == "every" else Count(n)
 
     def parse_time(self) -> Duration:
-        self.productions["time"] += 1
         self.expect("{")
         amount_pos = self.pos
         amount = int(self.expect("INT"))
@@ -420,7 +408,6 @@ class Parser:
     def parse_transformer(self):
         kind = self.kinds[self.pos]
         if kind == "fold":
-            self.productions["transformer-fold"] += 1
             self.advance()
             self.expect("(")
             init = self.parse_expr()
@@ -429,7 +416,6 @@ class Parser:
             self.expect(")")
             return Fold(init, fn)
         if kind == "bind":
-            self.productions["transformer-bind"] += 1
             self.advance()
             self.expect("(")
             name = self.expect("IDENT")
@@ -474,7 +460,6 @@ class Parser:
                 )
             self.advance()
             self.expect(":")
-            self.productions[f"option-{key}"] += 1
             if key == "seq":
                 seq = self.parse_bool()
             elif key == "last":
@@ -499,7 +484,6 @@ class Parser:
     # or < and < not < comparison < additive < multiplicative < primary
 
     def parse_expr(self):
-        self.productions["expression"] += 1
         return self.parse_or_expr()
 
     def parse_or_expr(self):

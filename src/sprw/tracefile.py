@@ -6,8 +6,8 @@ must be non-decreasing across the whole file.
 
 Value encoding is bijective by convention: JSON strings beginning with a
 colon denote symbols, all other strings are plain strings (a plain string
-that itself starts with a colon is not representable), and ints, floats and
-booleans map to their native JSON types.
+that itself starts with a colon is not representable), and ints, finite
+floats and booleans map to their native JSON types.
 
 Output records are one JSON object per line with a fixed key order
 (at, pattern, reaction, messageIds, bindings, intermediates) and sorted
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from math import isfinite
 from dataclasses import dataclass
 
 from .errors import TraceError
@@ -46,7 +47,7 @@ def decode_value(raw) -> Value:
     kind = type(raw)  # JSON decodes to exact builtin types, so bools are not ints here
     if kind is str:
         return Symbol(raw[1:]) if raw[:1] == ":" else raw
-    if kind is int or kind is float or kind is bool:
+    if kind is int or kind is bool or kind is float and isfinite(raw):
         return raw
     raise ValueError(f"unsupported attribute value {raw!r}")
 

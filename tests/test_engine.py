@@ -190,6 +190,18 @@ class TestAgenda:
         assert evaluated == [("pair", 10)]
         assert net.buffered_total() == 0
 
+    @pytest.mark.parametrize("text, lifetime_ms, live", [
+        ("pattern p as {:a, x} and {:b, y}, options: [interval: {1, :secs}]", None, 101),
+        ("pattern p as {:a, x} and {:b, y}", 100, 11),
+    ])
+    def test_a_pattern_the_readiness_gate_skips_sheds_its_dead(self, text, lifetime_ms, live):
+        # no `:b` ever arrives, so no evaluation reads the `:a` slot: each
+        # death must still drop its message, leaving only the live ones
+        net = build(text, lifetime_ms)
+        for i in range(2_000):
+            feed(net, "a", (i,), 10 * i)
+        assert net.buffered_total() <= live
+
 
 class TestAdvanceTime:
     NO_MOTION = (

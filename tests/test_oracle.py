@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from sprw.compile import compile_program
+from sprw.cli import FUZZ_LIFETIMES
+from sprw.compile import compile_program, expiry_bounds
+from sprw.engine import replay_trace
 from sprw.expand import expand
-from sprw.fuzz import differential, run_case
+from sprw.fuzz import differential, index_mismatch, run_case
 from sprw.fuzzgen import OP_GRID, generate_case
 from sprw.oracle import oracle_run
 from sprw.parser import parse_program
@@ -137,3 +139,30 @@ def test_lifetimes_agree_with_engine(lifetime_ms):
         case = generate_case(70_000 + i, force_op=OP_GRID[i % len(OP_GRID)])
         detail = differential(compiled(case.program_text), case.trace, lifetime_ms).divergence()
         assert not detail, f"seed {case.seed}, lifetime {lifetime_ms}: {detail}\n{case.program_text}"
+
+
+def test_no_dead_message_outlives_the_cycle_of_its_death():
+    # a message is dead once it is past its window, its slot bound or its
+    # type's expiry bound; after a cycle at the clock no buffer holds one,
+    # whether or not any evaluation read its slot
+    unrouted = Symbol("unnamed_type")
+    leaks = []
+    for i in range(200):
+        case = generate_case(31_000 + i, n_events=60, force_op=OP_GRID[i % len(OP_GRID)])
+        lifetime = FUZZ_LIFETIMES[(i // len(OP_GRID)) % len(FUZZ_LIFETIMES)]
+        c = compiled(case.program_text)
+        assert unrouted.name not in c.routing
+        _, net = replay_trace(c, case.trace, lifetime)
+        net.ingest(unrouted, (), net.clock)
+        bounds = expiry_bounds(c, lifetime)
+        for (p_idx, a_idx, c_idx), buf in [*net.buffers.items(), *net.blockers.items()]:
+            cons = c.patterns[p_idx].alternatives[a_idx].constituents[c_idx]
+            bound = bounds[cons.selector.type_tag.name]
+            for m in buf:
+                age = net.clock - m.ts
+                if (cons.window_ms is not None and age >= cons.window_ms
+                        or cons.slot_bound_ms is not None and age > cons.slot_bound_ms
+                        or bound is not None and age > bound):
+                    leaks.append((case.seed, cons.slot, m.id))
+        assert index_mismatch(net) == "", case.seed
+    assert not leaks, f"{len(leaks)} dead messages buffered, first {leaks[:3]}"

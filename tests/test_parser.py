@@ -4,17 +4,23 @@ import pytest
 
 from sprw.errors import ParseError
 from sprw.nodes import (
+    AliasOp,
     AndGroup,
     Const,
     Count,
+    Debounce,
+    DistinctMark,
     ElemPattern,
+    Fold,
+    InlineGuard,
     NamedRef,
     OrGroup,
     Selector,
     Var,
     Window,
+    body_leaves,
 )
-from sprw.parser import Parser, parse_program
+from sprw.parser import parse_program
 from sprw.values import Duration, Symbol
 
 from conftest import CORPUS_FILES, SCENARIOS, corpus_text, fixture_path
@@ -154,20 +160,62 @@ EXPECTED_PRODUCTIONS = [
 ]
 
 
+REFINEMENTS = {InlineGuard: "inline-guard", AliasOp: "alias-op",
+               DistinctMark: "refinement-distinct"}
+
+
+def productions_of(program):
+    """The names of the grammar productions that a parsed program holds."""
+    found = {"program"}
+    if program.bindings:
+        found.add("react-to")
+    for p in program.patterns:
+        found |= {"pattern-definition", "pattern"}
+        if p.guard is not None:
+            found |= {"guard", "expression"}
+        for key in ("seq", "interval", "last", "debounce"):
+            if getattr(p.options, key):
+                found.add(f"option-{key}")
+        if p.options.interval or p.options.debounce:
+            found.add("time")
+        for leaf in body_leaves(p.body):
+            found.add("elem-pattern")
+            if isinstance(leaf.base, NamedRef):
+                found.add("selector-ref")
+                for r in leaf.base.refinements:
+                    found.add(REFINEMENTS[type(r)])
+                    if isinstance(r, InlineGuard):
+                        found.add("expression")
+            else:
+                found.add("selector")
+                for term in leaf.base.terms:
+                    found.add("attribute")
+                    if isinstance(term, Var):
+                        found.add("logic-var")
+                    elif not isinstance(term, Const):
+                        found.add("logic-var-marked")
+                    elif isinstance(term.value, Symbol):
+                        found.add("value-symbol")
+            for op in leaf.operators:
+                found.add(f"operator-{type(op).__name__.lower()}")
+                if isinstance(op, (Window, Debounce)):
+                    found.add("time")
+            for t in leaf.transformers:
+                found.add(f"transformer-{type(t).__name__.lower()}")
+                if isinstance(t, Fold):
+                    found.add("expression")
+    return found
+
+
 def test_grammar_production_coverage():
-    # every production must fire at least once over the corpus + fixtures
-    totals = {}
+    # every production must appear at least once over the corpus + fixtures
     sources = [p.read_text(encoding="utf-8") for p in CORPUS_FILES]
     sources += [
         fixture_path(f"scenario{i}.sprw").read_text(encoding="utf-8") for i in SCENARIOS
     ]
-    for text in sources:
-        parser = Parser(text)
-        parser.parse_program()
-        for key, n in parser.productions.items():
-            totals[key] = totals.get(key, 0) + n
-    missing = [key for key in EXPECTED_PRODUCTIONS if totals.get(key, 0) == 0]
-    assert not missing, f"productions never fired: {missing}"
+    found = set().union(*[productions_of(parse_program(text)) for text in sources])
+    missing = [key for key in EXPECTED_PRODUCTIONS if key not in found]
+    assert not missing, f"productions never found: {missing}"
 
 
 VALUE_KINDS = ["FLOAT", "INT", "STRING", "SYMBOL", "false", "true"]
@@ -214,6 +262,9 @@ ERROR_SNAPSHOTS = [
      "expected ')', got 'end-of-input'", 3, 34, "SyntaxError", [")"]),
     # checks on values after they are lexed
     ("pattern p as {:a, x}[count: 0]", "count requires a positive count", 1, 29, "SyntaxError", []),
+    ("pattern p as {:a, x} when x > " + "9" * 400 + ".0",
+     "float literal too large", 1, 31, "SyntaxError", []),
+    ("pattern p as {:a, -" + "9" * 400 + ".0}", "float literal too large", 1, 19, "SyntaxError", []),
     ("pattern p as {:a, x}[window: {0, :secs}]", "duration must be positive", 1, 31, "SyntaxError", []),
     ("pattern p as {:a, x}[every: 1, every: 2]", "duplicate operator 'every'", 1, 41, "SyntaxError", []),
     ("pattern p as {:a, x}, options: [seq: maybe]",

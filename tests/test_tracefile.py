@@ -31,6 +31,10 @@ TRACE_ERRORS = [
     ('{"ts": 1, "type": ":a", "attrs": [null]}', 1, "unsupported attribute value None"),
     ('{"ts": 1, "type": ":a", "attrs": [1, [1]]}', 1, "unsupported attribute value [1]"),
     ('{"ts": 1, "type": ":a", "attrs": [{"k": 1}]}', 1, "unsupported attribute value {'k': 1}"),
+    ('{"ts": 1, "type": ":a", "attrs": [NaN]}', 1, "unsupported attribute value nan"),
+    ('{"ts": 1, "type": ":a", "attrs": [Infinity]}', 1, "unsupported attribute value inf"),
+    ('{"ts": 1, "type": ":a", "attrs": [-Infinity]}', 1, "unsupported attribute value -inf"),
+    ('{"ts": 1, "type": ":a", "attrs": [1e400]}', 1, "unsupported attribute value inf"),
     ('{"ts": 1, "type": ":a", "attrs": 5}', 1, "'attrs' must be a list"),
     ('{"ts": 1, "type": ":a", "attrs": null}', 1, "'attrs' must be a list"),
     ('{"ts": 1, "type": ":a", "attrs": "ab"}', 1, "'attrs' must be a list"),
