@@ -150,7 +150,10 @@ def step(cell: ActorCell, now: int) -> list[FiredReaction]:
             stamped = net.clock if ts is None else max(ts, net.clock)
             _, results = net.ingest(tag, attrs, stamped)
             matches.extend(results)
-        matches.extend(net.advance_time(max(now, net.clock)))
+        # every pending timer falls due after the clock (each delay is
+        # positive), so only a clock that moves can fire one
+        if now > net.clock:
+            matches.extend(net.advance_time(now))
 
         for match in matches:
             refs = list(cell.reactions.get(match.pattern, ()))
@@ -176,7 +179,9 @@ def step(cell: ActorCell, now: int) -> list[FiredReaction]:
         return fired
     finally:
         cell._in_step = False
-        deferred, cell._deferred = cell._deferred, []
+        deferred = cell._deferred
+        if deferred:
+            cell._deferred = []
         for op, pattern_name, label, fn in deferred:
             if op == "bind":
                 react_to(cell, pattern_name, label, fn)

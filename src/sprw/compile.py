@@ -9,6 +9,7 @@ normal form, and per-type retention bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .errors import CompileError
@@ -63,13 +64,18 @@ class CompiledConstituent:
     # these values, so a join step or a negation fetches just the messages
     # whose key agrees with the environment, not the whole buffer
     join_key: tuple[tuple[int, str], ...] = ()
+    # on a keyed slot: the index key of a message's attrs, and the key a join
+    # step probes with from an environment binding every key variable.  A
+    # key of one variable is its value, a longer one the tuple of its values
+    attrs_key: Callable | None = None
+    probe_key: Callable | None = None
     # the positives before this one bind the whole key, so a search in
     # textual order can probe the index here
     probe_in_order: bool = False
     # on a delta alternative: per other positive, (its index among the
-    # positives, the attr positions of this slot's messages holding its key),
-    # so a new message can look for its partners in their indexes
-    partner_keys: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    # positives, the key of that positive's index taken from this slot's
+    # messages' attrs), so a new message can look for its partners there
+    partner_keys: tuple[tuple[int, Callable], ...] = ()
     # plain positives beside windowed negatives: the longest of those windows.
     # Each negation rejects a combination until its window has passed since
     # the combination's newest message, so a message of this slot can only
@@ -80,15 +86,6 @@ class CompiledConstituent:
     # count group below its target fails unless a window lets a guard or
     # transformer arbitrate it
     min_group: int = 1
-
-    def message_key(self, msg) -> tuple:
-        """Index key of a buffered message."""
-        attrs = msg.attrs
-        return tuple([attrs[pos] for pos, _ in self.join_key])
-
-    def probe_key(self, env) -> tuple:
-        """Index key a join step probes with; every key variable is bound."""
-        return tuple([env[name] for _, name in self.join_key])
 
 
 @dataclass(slots=True)
@@ -145,7 +142,7 @@ class AlphaSpec:
 class CompiledProgram:
     patterns: list[CompiledPattern]
     alphas: dict[tuple, AlphaSpec]
-    routing: dict[str, list[tuple]]  # type-tag name -> alpha keys
+    routing: dict[str, list[AlphaSpec]]  # type-tag name -> its alpha nodes
     retention_ms: dict[str, int | None]  # None = retained until consumed
     bindings: tuple
     source: Program
@@ -186,7 +183,7 @@ def compile_program(program: Program) -> CompiledProgram:
     """Build the network plan.  The program must already be expanded."""
     patterns: list[CompiledPattern] = []
     alphas: dict[tuple, AlphaSpec] = {}
-    routing: dict[str, list[tuple]] = {}
+    routing: dict[str, list[AlphaSpec]] = {}
     join_plans: dict[tuple, tuple] = {}
 
     for p_idx, past in enumerate(program.patterns):
@@ -273,6 +270,7 @@ def compile_program(program: Program) -> CompiledProgram:
                 for neg in alt.negatives:
                     neg.join_key = tuple([(pos, name) for pos, name, kind in neg.bind_terms
                                           if kind == 0 and name in bound])
+                    neg.attrs_key, neg.probe_key = _key_getters(neg.join_key)
             alternatives.append(alt)
 
             for cons in constituents:
@@ -284,7 +282,7 @@ def compile_program(program: Program) -> CompiledProgram:
                     spec = alphas[key] = AlphaSpec(
                         key, cons.selector.type_tag, arity, const_tests, every_n, debounce_ms
                     )
-                    routing.setdefault(tag_name, []).append(key)
+                    routing.setdefault(tag_name, []).append(spec)
                 spec.targets.append((p_idx, a_idx, cons))
 
         opts: Options = past.options
@@ -351,15 +349,16 @@ def _plan_joins(alt: CompiledAlternative, plans: dict[tuple, tuple]) -> None:
     if plan is None:
         plan = plans[shape] = _join_plan(alt)
     keys, alt.delta, partners = plan
-    for cons, (key, probe), partners in zip(positives, keys, partners):
+    for cons, (key, probe, getters), partners in zip(positives, keys, partners):
         cons.join_key = key
         cons.probe_in_order = probe
+        cons.attrs_key, cons.probe_key = getters
         cons.partner_keys = partners
 
 
 def _join_plan(alt: CompiledAlternative) -> tuple:
-    """((join_key, probe_in_order) per positive, delta, partner_keys per
-    positive) for one alternative."""
+    """((join_key, probe_in_order, _key_getters) per positive, delta,
+    partner_keys per positive) for one alternative."""
     positives = alt.positives
     binders: dict[str, int] = {}  # variable -> number of positives binding it
     for cons in positives:
@@ -371,7 +370,7 @@ def _join_plan(alt: CompiledAlternative) -> tuple:
         key = () if cons.accumulates else tuple(
             [(pos, name) for pos, name, kind in cons.bind_terms if kind == 0 and binders[name] > 1]
         )
-        keys.append((key, bool(key) and all(name in bound for _, name in key)))
+        keys.append((key, bool(key) and all(name in bound for _, name in key), _key_getters(key)))
         bound.update([name for _, name, kind in cons.bind_terms if kind == 0])
     # a seed binds every other positive's key exactly when each shared
     # variable is bound by every positive
@@ -386,11 +385,18 @@ def _join_plan(alt: CompiledAlternative) -> tuple:
     if delta:  # every positive binds every key variable, here at these positions
         where = [{name: pos for pos, name, kind in c.bind_terms if kind == 0} for c in positives]
         partners = [
-            tuple([(k, tuple([at[name] for _, name in key]))
-                   for k, (key, _) in enumerate(keys) if k != j])
+            tuple([(k, itemgetter(*[at[name] for _, name in key]))
+                   for k, (key, _, _) in enumerate(keys) if k != j])
             for j, at in enumerate(where)
         ]
     return keys, delta, partners
+
+
+def _key_getters(key: tuple[tuple[int, str], ...]) -> tuple:
+    """(attrs_key, probe_key) of a join key; (None, None) for no key."""
+    if not key:
+        return None, None
+    return itemgetter(*[pos for pos, _ in key]), itemgetter(*[name for _, name in key])
 
 
 class AlphaRouter:
@@ -409,10 +415,10 @@ class AlphaRouter:
 
     def route(self, type_tag_name: str, attrs, ts: int) -> list[AlphaSpec]:
         passing = []
-        for key in self.compiled.routing.get(type_tag_name, ()):
-            spec = self.compiled.alphas[key]
+        for spec in self.compiled.routing.get(type_tag_name, ()):
             if not spec.passes_constants(attrs):
                 continue
+            key = spec.key
             if spec.every_n is not None:
                 count = self.counts.get(key, 0) + 1
                 self.counts[key] = count

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
+from itertools import count
 from operator import attrgetter
 
 from .combine import evaluate_pattern
@@ -122,8 +123,12 @@ class Network:
         self.blockers: dict[tuple[int, int, int], list[Message]] = {}
         self.router = AlphaRouter(compiled)
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
-        self._timers: list[tuple] = []  # (due, pattern, seq, payload)
-        self._timer_seq = 0
+        # (due, pattern, id, payload): the payload is the windowed slot whose
+        # dead messages the timer drops, or None for a pure time flip
+        # (negation clearance or debounce expiry); the unique id keeps heap
+        # comparisons off the payload
+        self._timers: list[tuple] = []
+        self._timer_ids = count()
         # per message type: the greatest age at which its messages are live
         self._bounds = expiry_bounds(compiled, lifetime_ms)
         # (due, pattern, slot): a message in the slot dies at due, before
@@ -136,15 +141,17 @@ class Network:
         self._watermark: list[int | None] = [None] * len(compiled.patterns)
         # per pattern: whether its last evaluation reported a diagnostic
         self._diagnosed: list[bool] = [False] * len(compiled.patterns)
+        # per pattern: whether every alternative is delta (see _eval_pass)
+        self._all_delta = [all(a.delta for a in p.alternatives) for p in compiled.patterns]
         # per pattern: its _slot_callbacks, built on its first use
         self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
         # [the clock of the current evaluation], for the slot callbacks
         self._now = [0]
-        # per routed alpha node (by id): its targets as (pattern, slot,
-        # constituent, store, timers, death), built on the node's first message
+        # per routed alpha node (by id): its _route_plan, built on the node's
+        # first message
         self._routes: dict[int, tuple] = {}
-        # per routed slot: (constituent, store, death age, whether a death
-        # there wakes the pattern), built with its route plan
+        # per routed slot: (buffer, index, index key, death age, whether a
+        # death there wakes the pattern); index and key are None if unkeyed
         self._slots: dict[tuple, tuple] = {}
 
     # -- ingestion -----------------------------------------------------------
@@ -154,9 +161,10 @@ class Network:
         if ts < self.clock:
             raise TimeRegression(ts, self.clock)
         n = self.next_ingest
-        self.next_ingest += 1
+        self.next_ingest = n + 1
         msg = Message(n, n, ts, type_tag, tuple(attrs))  # id, seq, ts, type_tag, attrs
-        results = self._run_timers(ts)
+        timers = self._timers
+        results = self._run_timers(ts) if timers and timers[0][0] <= ts else []
         self.clock = ts
         self.last_seq = n
         self._route(msg)
@@ -174,55 +182,56 @@ class Network:
 
     def _route(self, msg: Message) -> None:
         ts = msg.ts
+        attrs = msg.attrs
         agenda = self._agenda
-        for spec in self.router.route(msg.type_tag.name, msg.attrs, ts):
+        for spec in self.router.route(msg.type_tag.name, attrs, ts):
             targets = self._routes.get(id(spec))
             if targets is None:
                 targets = self._routes[id(spec)] = self._route_plan(spec)
-            for p_idx, slot, cons, store, timers, death in targets:
-                if cons.needs_local_check and extend_env(cons.bind_terms, msg, {}, {}) is None:
+            for p_idx, slot, check, buf, keys, key_of, timers, death in targets:
+                if check and extend_env(check, msg, {}, {}) is None:
                     continue
-                store.setdefault(slot, []).append(msg)
-                if cons.join_key:
-                    self.index.setdefault(slot, {}).setdefault(
-                        cons.message_key(msg), []
-                    ).append(msg)
+                buf.append(msg)
+                if key_of is not None:
+                    key = key_of(attrs)
+                    bucket = keys.get(key)
+                    if bucket is None:
+                        keys[key] = [msg]
+                    else:
+                        bucket.append(msg)
                 for delay, payload in timers:
-                    self._schedule(ts + delay, p_idx, payload)
+                    heappush(self._timers, (ts + delay, p_idx, next(self._timer_ids), payload))
                 if death is not None:
                     heappush(self._expiries, (ts + death, p_idx, slot))
                 agenda.add(p_idx)
 
     def _route_plan(self, spec) -> tuple:
-        """Per target of an alpha node: where its messages go, the timers
-        (delay, payload) each one sets (its own window's expiry, and one
-        negation clearance per windowed negative beside a positive), and its
-        slot's death age unless its window's expiry timer announces it.
-        Records each target slot in ``_slots``."""
+        """Per target of an alpha node: (pattern, slot, the bind terms to check
+        when its selector repeats a variable, the slot's buffer, index and
+        index key, the timers (delay, payload) each message sets, the slot's
+        death age unless its window's expiry timer announces it).  The timers
+        are its window's expiry, and one negation clearance per windowed
+        negative beside a positive.  Records each slot in ``_slots``."""
         plan = []
         for p_idx, a_idx, cons in spec.targets:
+            slot = cons.slot
             bound = self._bounds[cons.selector.type_tag.name]
             death = death_age(cons, bound)
-            timers = [] if cons.window_ms is None else [(cons.window_ms, cons.slot)]
+            timers = [] if cons.window_ms is None else [(cons.window_ms, slot)]
             if not cons.negated:
                 timers += [
                     (neg.window_ms, None)
                     for neg in self.cp.patterns[p_idx].alternatives[a_idx].negatives
                     if neg.window_ms is not None
                 ]
-            store = self.blockers if cons.negated else self.buffers
-            self._slots[cons.slot] = (cons, store, death, bound is not None and death == bound + 1)
-            plan.append((p_idx, cons.slot, cons, store, tuple(timers),
+            buf = (self.blockers if cons.negated else self.buffers).setdefault(slot, [])
+            keys = self.index.setdefault(slot, {}) if cons.join_key else None
+            self._slots[slot] = (buf, keys, cons.attrs_key, death,
+                                 bound is not None and death == bound + 1)
+            plan.append((p_idx, slot, cons.needs_local_check and cons.bind_terms, buf, keys,
+                         cons.attrs_key, tuple(timers),
                          None if death == cons.window_ms else death))
         return tuple(plan)
-
-    def _schedule(self, due: int, pattern_idx: int, payload) -> None:
-        """Queue a timer; ``payload`` is the windowed slot whose dead messages
-        it drops, or None for a pure time flip (negation clearance or
-        debounce expiry).  The unique sequence number keeps heap
-        comparisons off the payload."""
-        self._timer_seq += 1
-        heappush(self._timers, (due, pattern_idx, self._timer_seq, payload))
 
     def _run_timers(self, upto: int) -> list[MatchResult]:
         """Fire every timer due by ``upto``, one match-cycle per due time."""
@@ -248,11 +257,10 @@ class Network:
         """Drop the messages of a routed ``slot`` dead at ``now``, those at
         least its death age old: a prefix, as the buffers ascend in ts.
         Returns how many."""
-        cons, store, death, _ = self._slots[slot]
-        buf = store.get(slot)
+        buf, keys, key_of, death, _ = self._slots[slot]
         dead = bisect_right(buf, now - death, key=_TS) if buf else 0
         if dead:
-            _drop_heads(buf, dead, cons, self.index)
+            _drop_heads(buf, dead, keys, key_of)
         return dead
 
     def _eval_pass(self) -> list[MatchResult]:
@@ -263,24 +271,22 @@ class Network:
         agenda = self._agenda
         watermark = self._watermark
         diagnosed = self._diagnosed
-        patterns = self.cp.patterns
-        callbacks = self._callbacks
         expiries = self._expiries
         while expiries and expiries[0][0] <= now:
             _, p_idx, slot = heappop(expiries)
             self._drop_expired(slot, now)
             # only retention and lifetime deaths wake (see the module
             # docstring); a delta pattern that found none still finds none
-            if self._slots[slot][3] and (
-                watermark[p_idx] is None or not all(a.delta for a in patterns[p_idx].alternatives)
-            ):
+            if self._slots[slot][4] and (watermark[p_idx] is None or not self._all_delta[p_idx]):
                 agenda.add(p_idx)
         out: list[MatchResult] = []
         if not agenda:
             return out
+        patterns = self.cp.patterns
+        callbacks = self._callbacks
         buffers = self.buffers
         index = self.index
-        for p_idx in sorted(agenda):
+        for p_idx in sorted(agenda) if len(agenda) > 1 else list(agenda):
             cp = patterns[p_idx]
             if cp.debounce_ms is not None:
                 last = self.last_activation[p_idx]
@@ -369,12 +375,13 @@ class Network:
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
         msgs = result.messages
-        buffers = self.buffers
+        slots = self._slots
         for alt in cp.alternatives:
             for cons in alt.positives:
-                buf = buffers.get(cons.slot)
-                if not buf:
+                routed = slots.get(cons.slot)
+                if routed is None or not routed[0]:
                     continue
+                buf, keys, key_of, _, _ = routed
                 tag = cons.selector.type_tag.name
                 # buffers and buckets ascend in seq: find each message of the
                 # slot's type by bisection
@@ -384,9 +391,8 @@ class Network:
                     i = bisect_left(buf, m.seq, key=_SEQ)
                     if i < len(buf) and buf[i] is m:
                         del buf[i]
-                        if cons.join_key:
-                            keys = self.index[cons.slot]
-                            key = cons.message_key(m)
+                        if key_of is not None:
+                            key = key_of(m.attrs)
                             bucket = keys[key]
                             del bucket[bisect_left(bucket, m.seq, key=_SEQ)]
                             if not bucket:
@@ -394,7 +400,7 @@ class Network:
         # the watermark stays: removing messages creates no combination
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
-            self._schedule(result.at + cp.debounce_ms + 1, p_idx, None)
+            heappush(self._timers, (result.at + cp.debounce_ms + 1, p_idx, next(self._timer_ids), None))
 
     # -- garbage collection -----------------------------------------------------
 
@@ -404,38 +410,34 @@ class Network:
         Returns the number of distinct messages removed.  Idempotent at a
         fixed ``now``."""
         removed: set[int] = set()
-        for store in (self.buffers, self.blockers):
-            for slot, buf in store.items():
-                bound = self._bounds[buf[0].type_tag.name] if buf else None
-                if bound is None:
-                    continue
-                # a message only dies with age: the dead ones are a prefix
-                drop = bisect_left(buf, now - bound, key=_TS)
-                if drop:
-                    removed.update(m.id for m in buf[:drop])
-                    _drop_heads(buf, drop, self._slots[slot][0], self.index)
-                    # with ``now`` past the clock, the dropped messages may
-                    # still be live at the clock
-                    self._agenda.add(slot[0])
+        for slot, (buf, keys, key_of, _, _) in self._slots.items():
+            bound = self._bounds[buf[0].type_tag.name] if buf else None
+            if bound is None:
+                continue
+            # a message only dies with age: the dead ones are a prefix
+            drop = bisect_left(buf, now - bound, key=_TS)
+            if drop:
+                removed.update(m.id for m in buf[:drop])
+                _drop_heads(buf, drop, keys, key_of)
+                # with ``now`` past the clock, the dropped messages may
+                # still be live at the clock
+                self._agenda.add(slot[0])
         # the watermarks stay: removing messages creates no combination
         return len(removed)
 
     # -- introspection ------------------------------------------------------------
 
     def buffered_total(self) -> int:
-        return sum(len(b) for b in self.buffers.values()) + sum(
-            len(b) for b in self.blockers.values()
-        )
+        return sum(len(buf) for buf, *_ in self._slots.values())
 
 
-def _drop_heads(buf: list[Message], drop: int, cons, index) -> None:
-    """Delete the first ``drop`` messages of ``cons``'s buffer ``buf``, and
-    from its index when the slot is keyed: each heads its bucket, as buckets
-    keep buffer order."""
-    if cons.join_key:
-        keys = index[cons.slot]
+def _drop_heads(buf: list[Message], drop: int, keys, key_of) -> None:
+    """Delete the first ``drop`` messages of a slot's buffer ``buf``, and from
+    its index ``keys`` when the slot is keyed (``key_of`` is its
+    ``attrs_key``): each heads its bucket, as buckets keep buffer order."""
+    if key_of is not None:
         for m in buf[:drop]:
-            key = cons.message_key(m)
+            key = key_of(m.attrs)
             bucket = keys[key]
             del bucket[0]
             if not bucket:
@@ -455,9 +457,9 @@ def _partnered_arrival(alt, buffers, index, watermark: int) -> bool:
         while i and buf[i - 1].seq > watermark:
             i -= 1
             attrs = buf[i].attrs
-            for k, positions in cons.partner_keys:
+            for k, key_of in cons.partner_keys:
                 keys = index.get(positives[k].slot)
-                if not keys or tuple([attrs[pos] for pos in positions]) not in keys:
+                if not keys or key_of(attrs) not in keys:
                     break
             else:
                 return True

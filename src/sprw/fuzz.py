@@ -61,7 +61,7 @@ def index_mismatch(net: Network) -> str:
             continue
         grouped: dict[tuple, list] = {}
         for m in buf:
-            grouped.setdefault(cons.message_key(m), []).append(m)
+            grouped.setdefault(cons.attrs_key(m.attrs), []).append(m)
         if (index or {}) != grouped:
             return f"index of slot {slot} differs from its buffer grouped by key"
     return ""

@@ -17,9 +17,9 @@ from .nodes import Bind, BinOp, Expr, Fold, Lit, NotOp, VarRef
 from .values import Symbol, Value, is_number, value_in, values_equal
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One ingested message: the unit of matching."""
+class Message(NamedTuple):
+    """One ingested message: the unit of matching (immutable).  A named
+    tuple, which costs less than half as much to build as a frozen dataclass."""
 
     id: int
     seq: int
@@ -29,11 +29,8 @@ class Message:
 
 
 class MatchResult(NamedTuple):
-    """One successful pattern activation (immutable).
-
-    A named tuple rather than a frozen dataclass: a match is built for most
-    messages, and a frozen dataclass's ``__init__`` costs three times as
-    much."""
+    """One successful pattern activation (immutable), a named tuple as
+    :class:`Message` is."""
 
     pattern: str
     messages: tuple[Message, ...]

@@ -309,7 +309,7 @@ class Parser:
         if kind == "SYMBOL":
             return Symbol(self.advance()[1:])
         if kind == "INT":
-            return int(self.advance())
+            return self.parse_int()
         if kind == "FLOAT":
             return self.parse_float(self.pos)
         if kind == "STRING":
@@ -321,10 +321,19 @@ class Parser:
             start = self.pos
             self.advance()
             if self.kinds[self.pos] == "INT":
-                return -int(self.advance())
+                return -self.parse_int()
             return -self.parse_float(start)
         self.fail(f"expected value, got {self.texts[self.pos] or 'end-of-input'!r}",
                   {"SYMBOL", "INT", "FLOAT", "STRING", "true", "false"})
+
+    def parse_int(self) -> int:
+        """Consume an INT token, reporting one too long for ``int`` at it."""
+        pos = self.pos
+        text = self.expect("INT")
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error("integer literal too large", pos) from None
 
     def parse_float(self, start: int) -> float:
         """Consume a FLOAT token; one too large for a double is reported at
@@ -383,7 +392,7 @@ class Parser:
             dur = self.parse_time()
             return Window(dur) if key == "window" else Debounce(dur)
         n_pos = self.pos
-        n = int(self.expect("INT"))
+        n = self.parse_int()
         if n <= 0:
             raise self.error(f"{key} requires a positive count", n_pos)
         return Every(n) if key == "every" else Count(n)
@@ -391,7 +400,7 @@ class Parser:
     def parse_time(self) -> Duration:
         self.expect("{")
         amount_pos = self.pos
-        amount = int(self.expect("INT"))
+        amount = self.parse_int()
         if amount <= 0:
             raise self.error("duration must be positive", amount_pos)
         self.expect(",")

@@ -19,37 +19,26 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from math import isfinite
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TraceError
 from .matching import MatchResult
 from .values import Symbol, Value
 
 
-@dataclass(frozen=True, slots=True)
-class MessageEvent:
+class MessageEvent(NamedTuple):
     ts: int
     type_tag: Symbol
     attrs: tuple[Value, ...]
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class AdvanceEvent:
+class AdvanceEvent(NamedTuple):
     to: int
     line: int = 0
 
 
 TraceEvent = MessageEvent | AdvanceEvent
-
-
-def decode_value(raw) -> Value:
-    kind = type(raw)  # JSON decodes to exact builtin types, so bools are not ints here
-    if kind is str:
-        return Symbol(raw[1:]) if raw[:1] == ":" else raw
-    if kind is int or kind is bool or kind is float and isfinite(raw):
-        return raw
-    raise ValueError(f"unsupported attribute value {raw!r}")
 
 
 def encode_value(v: Value):
@@ -88,6 +77,8 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
             obj, end = _DECODER.raw_decode(raw)
         except json.JSONDecodeError:
             end = -1
+        except ValueError:  # an integer past Python's int-string conversion limit
+            raise TraceError("invalid JSON: integer has too many digits", lineno) from None
         if end != len(raw):  # not one JSON document: json.loads names the fault
             try:
                 obj = json.loads(raw)
@@ -121,11 +112,15 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
         raw_attrs = obj.get("attrs", _NO_ATTRS)
         if type(raw_attrs) is not list:
             raise TraceError("'attrs' must be a list", lineno)
-        try:
-            attrs = tuple(map(decode_value, raw_attrs))
-        except ValueError as err:
-            raise TraceError(str(err), lineno) from None
-        yield MessageEvent(ts, type_tag, attrs, lineno)
+        attrs = []
+        for value in raw_attrs:
+            kind = type(value)  # JSON decodes to exact builtin types, so bools are not ints here
+            if kind is str:
+                value = Symbol(value[1:]) if value[:1] == ":" else value
+            elif kind is not int and kind is not bool and (kind is not float or not isfinite(value)):
+                raise TraceError(f"unsupported attribute value {value!r}", lineno)
+            attrs.append(value)
+        yield MessageEvent(ts, type_tag, tuple(attrs), lineno)
 
 
 def output_record(match: MatchResult, reaction: str | None) -> dict:
@@ -139,7 +134,8 @@ def output_record(match: MatchResult, reaction: str | None) -> dict:
     }
 
 
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+# records are acyclic trees built by output_record: no cycle check needed
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True, check_circular=False)
 
 
 def record_line(record: dict) -> str:

@@ -84,6 +84,23 @@ def test_run_parse_error_exit_2(tmp_path):
     assert "error" in r.stderr
 
 
+def test_oversized_integers_exit_2(tmp_path):
+    # past Python's int-string conversion limit, in a pattern and in a trace
+    huge = "9" * 5000
+    bad = tmp_path / "bad.sprw"
+    bad.write_text(f"pattern p as {{:a, x}}[count: {huge}]\n")
+    r = run_cli("check", "--patterns", str(bad))
+    assert (r.returncode, r.stderr) == (2, "error: 1:29: integer literal too large\n")
+    good = tmp_path / "p.sprw"
+    good.write_text("pattern p as {:a, x}\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(f'{{"ts": 0, "type": ":a", "attrs": [{huge}]}}\n')
+    for patterns in (bad, good):
+        r = run_cli("run", "--patterns", str(patterns), "--trace", str(trace))
+        assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: line 1: invalid JSON: integer has too many digits\n"
+
+
 def test_run_diagnostics_exit_3(tmp_path):
     pats = tmp_path / "diag.sprw"
     pats.write_text("pattern p as {:a, x} when x > :oops\n")

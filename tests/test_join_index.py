@@ -15,9 +15,10 @@ import random
 import sys
 from pathlib import Path
 
+import sprw.actor as actor
 import sprw.combine
 import sprw.engine
-from sprw.compile import CompiledConstituent, compile_program
+from sprw.compile import compile_program
 from sprw.engine import Network, replay_trace
 from sprw.fuzz import differential, index_mismatch
 from sprw.expand import expand
@@ -193,25 +194,35 @@ def test_timer_group_due_at_an_arrival_sees_the_arrival():
 
 
 def _calls_per_message(monkeypatch, text, prefix, measured):
-    """Calls of extend_env, message_key and the engine's evaluate_pattern
-    per message of ``measured``, fed after ``prefix``, whose messages all
-    stay buffered, by name; and the matches of ``measured``.  Both are lists
-    of (type, attrs)."""
-    net = Network(compile_program(expand(parse_program(text))))
+    """Calls of extend_env, of the slots' index keys (``attrs_key``) and of
+    the engine's evaluate_pattern per message of ``measured``, fed after
+    ``prefix``, whose messages all stay buffered, by name; and the matches of
+    ``measured``.  Both are lists of (type, attrs)."""
+    compiled = compile_program(expand(parse_program(text)))
+    calls = {"extend_env": 0, "attrs_key": 0, "evaluate_pattern": 0}
+
+    def counting_attrs_key(attrs_key):
+        def counting(attrs):
+            calls["attrs_key"] += 1
+            return attrs_key(attrs)
+        return counting
+
+    # the network reads each slot's key once, when it first routes there
+    for cp in compiled.patterns:
+        for alt in cp.alternatives:
+            for cons in alt.constituents:
+                if cons.attrs_key is not None:
+                    cons.attrs_key = counting_attrs_key(cons.attrs_key)
+    net = Network(compiled)
     for ts, (tag, attrs) in enumerate(prefix):
         net.ingest(Symbol(tag), attrs, ts)
     assert net.buffered_total() == len(prefix)
-    calls = {"extend_env": 0, "message_key": 0, "evaluate_pattern": 0}
-    message_key = CompiledConstituent.message_key
+    calls["attrs_key"] = 0
     evaluate = sprw.engine.evaluate_pattern
 
     def counting_extend_env(*args):
         calls["extend_env"] += 1
         return extend_env(*args)
-
-    def counting_message_key(cons, msg):
-        calls["message_key"] += 1
-        return message_key(cons, msg)
 
     def counting_evaluate(*args):
         calls["evaluate_pattern"] += 1
@@ -219,7 +230,6 @@ def _calls_per_message(monkeypatch, text, prefix, measured):
 
     monkeypatch.setattr(sprw.combine, "extend_env", counting_extend_env)
     monkeypatch.setattr(sprw.engine, "evaluate_pattern", counting_evaluate)
-    monkeypatch.setattr(CompiledConstituent, "message_key", counting_message_key)
     matches = []
     for ts, (tag, attrs) in enumerate(measured, start=len(prefix)):
         matches += net.ingest(Symbol(tag), attrs, ts)[1]
@@ -248,7 +258,7 @@ def _join_calls(monkeypatch, buffered: int, match_every: int = 0) -> tuple:
         monkeypatch, JOIN, _join_messages(0, buffered), measured
     )
     assert len(matches) == (100 // match_every if match_every else 0)
-    return calls["extend_env"], calls["message_key"]
+    return calls["extend_env"], calls["attrs_key"]
 
 
 def test_join_cost_per_message_does_not_grow_with_buffered(monkeypatch):
@@ -279,7 +289,7 @@ def test_rare_side_join_cost_does_not_grow_with_buffered(monkeypatch):
         prefix = [("a", (n, 0)) for n in range(buffered)]
         calls, matches = _calls_per_message(monkeypatch, JOIN, prefix, measured)
         assert len(matches) == 10
-        return calls["extend_env"], calls["message_key"]
+        return calls["extend_env"], calls["attrs_key"]
 
     (small_ee, small_mk), (large_ee, large_mk) = per_message(400), per_message(6_400)
     assert large_ee <= 2 * small_ee
@@ -340,6 +350,48 @@ def test_gate_skips_arrivals_with_no_partner(monkeypatch):
         )
         assert matches == []
         assert calls["evaluate_pattern"] == calls["extend_env"] == 0
+
+
+def test_fixed_work_of_a_partnerless_message(monkeypatch):
+    # the benchmark's join_window shape: interval equi-joins over five types
+    # and no timers.  Once every pattern has missed, a message whose key no
+    # other message holds costs one readiness-gate check and nothing else:
+    # no evaluation, no timer pass and no clock advance in `step`, though
+    # each message also retires the one that died 3 s before it
+    text = (
+        "pattern pair as {:a, x, p} and {:b, x, q}, options: [interval: {3, :secs}]\n"
+        "pattern triple as {:c, x, _} and {:d, x, _} and {:e, x, _}, "
+        "options: [interval: {3, :secs}]\n"
+    )
+    cell = actor.spawn(text)
+
+    def feed(first, last):
+        for n in range(first, last):
+            actor.deliver(cell, "abcde"[n % 5], (n, 0), n * 20)
+            actor.step(cell, n * 20)
+
+    feed(0, 400)
+    calls = {"evaluate_pattern": 0, "_run_timers": 0, "advance_time": 0, "gate": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(sprw.engine, "evaluate_pattern",
+                        counting("evaluate_pattern", sprw.engine.evaluate_pattern))
+    monkeypatch.setattr(sprw.engine, "_partnered_arrival",
+                        counting("gate", sprw.engine._partnered_arrival))
+    for name in ("_run_timers", "advance_time"):
+        monkeypatch.setattr(Network, name, counting(name, getattr(Network, name)))
+    buffered = cell.network.buffered_total()
+    feed(400, 500)
+    monkeypatch.undo()
+    assert calls == {"evaluate_pattern": 0, "_run_timers": 0, "advance_time": 0, "gate": 100}
+    # a message lives 3 s past its arrival: 151 wait at every step
+    assert cell.network.buffered_total() == buffered == 151
+    assert cell.outputs == []
 
 
 def _gated_replay(monkeypatch, text, events, lifetime=None):

@@ -266,6 +266,14 @@ ERROR_SNAPSHOTS = [
      "float literal too large", 1, 31, "SyntaxError", []),
     ("pattern p as {:a, -" + "9" * 400 + ".0}", "float literal too large", 1, 19, "SyntaxError", []),
     ("pattern p as {:a, x}[window: {0, :secs}]", "duration must be positive", 1, 31, "SyntaxError", []),
+    # integers past Python's int-string conversion limit (4,300 digits)
+    ("pattern p as {:a, x} when x > " + "9" * 5000,
+     "integer literal too large", 1, 31, "SyntaxError", []),
+    ("pattern p as {:a, -" + "9" * 5000 + "}", "integer literal too large", 1, 20, "SyntaxError", []),
+    ("pattern p as {:a, x}[every: " + "9" * 5000 + "]",
+     "integer literal too large", 1, 29, "SyntaxError", []),
+    ("pattern p as {:a, x}[window: {" + "9" * 5000 + ", :secs}]",
+     "integer literal too large", 1, 31, "SyntaxError", []),
     ("pattern p as {:a, x}[every: 1, every: 2]", "duplicate operator 'every'", 1, 41, "SyntaxError", []),
     ("pattern p as {:a, x}, options: [seq: maybe]",
      "expected boolean, got 'maybe'", 1, 38, "SyntaxError", ["false", "true"]),

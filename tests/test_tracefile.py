@@ -39,6 +39,12 @@ TRACE_ERRORS = [
     ('{"ts": 1, "type": ":a", "attrs": null}', 1, "'attrs' must be a list"),
     ('{"ts": 1, "type": ":a", "attrs": "ab"}', 1, "'attrs' must be a list"),
     ('{"ts": 1, "type": ":a", "attrs": {"x": 1}}', 1, "'attrs' must be a list"),
+    # integers past Python's int-string conversion limit (4,300 digits)
+    ('{"ts": 1, "type": ":a", "attrs": [1, ' + "9" * 5000 + "]}", 1,
+     "invalid JSON: integer has too many digits"),
+    ('{"ts": 1, "type": ":a"}\n{"ts": ' + "9" * 5000 + ', "type": ":a"}', 2,
+     "invalid JSON: integer has too many digits"),
+    ('{"advance": -' + "9" * 5000 + "}", 1, "invalid JSON: integer has too many digits"),
     # blank and comment lines are skipped but still counted
     ('\n# c\n   \n{"ts": 1, "type": ":a"}\n# x\n\n{"ts": "x", "type": ":a"}', 7,
      "'ts' must be a non-negative integer (ms)"),
