@@ -14,7 +14,6 @@ from typing import Callable
 
 from .errors import CompileError
 from .nodes import (
-    AndGroup,
     Body,
     Const,
     Count,
@@ -46,9 +45,10 @@ class CompiledConstituent:
     debounce_ms: int | None
     transformers: Callable | None  # the compiled fold/bind chain
     accumulates: bool  # count or window: the slot contributes a greedy group
-    # (type tag name, arity, constant tests as (attr index, type, value),
-    # every_n, debounce_ms): constituents with equal keys share one alpha
-    # node; the type keeps 1, 1.0 and True apart, as values_equal does
+    # (type tag name, arity, constant tests as (attr index, type, value, a
+    # symbol by its name), every_n, debounce_ms): constituents with equal keys
+    # share one alpha node; the type keeps 1, 1.0 and True apart, and a
+    # symbol apart from the string of its name, as values_equal does
     alpha_key: tuple = ()
     # non-constant terms as (attr index, name, kind 0=var/1=must-distinct);
     # constant tests are already guaranteed by the alpha node, and
@@ -91,8 +91,8 @@ class CompiledConstituent:
 @dataclass(slots=True)
 class CompiledAlternative:
     constituents: list[CompiledConstituent]
-    positives: list[CompiledConstituent] = field(default_factory=list)
-    negatives: list[CompiledConstituent] = field(default_factory=list)
+    positives: list[CompiledConstituent]
+    negatives: list[CompiledConstituent]
     # nothing is negated and every positive is plain and keyed on the same
     # variables, so any one positive binds every other's key: the engine may
     # search only combinations that hold a message newer than its last
@@ -167,6 +167,10 @@ def _dnf(body: Body, name: str) -> list[list[ElemPattern]]:
         return out
     combos: list[list[ElemPattern]] = [[]]
     for part in body.parts:
+        if isinstance(part, ElemPattern):  # one alternative: extend each combination
+            for combo in combos:
+                combo.append(part)
+            continue
         alts = _dnf(part, name)
         if len(combos) * len(alts) > MAX_ALTERNATIVES:
             raise _dnf_too_large(name)
@@ -187,14 +191,16 @@ def compile_program(program: Program) -> CompiledProgram:
     join_plans: dict[tuple, tuple] = {}
 
     for p_idx, past in enumerate(program.patterns):
+        opts: Options = past.options
         alternatives: list[CompiledAlternative] = []
         for a_idx, leaves in enumerate(_dnf(past.body, past.name)):
             constituents: list[CompiledConstituent] = []
             for c_idx, leaf in enumerate(leaves):
-                if isinstance(leaf.base, NamedRef):
+                selector = leaf.base
+                if isinstance(selector, NamedRef):
                     raise CompileError(
                         "UnexpandedRef",
-                        f"pattern {past.name!r} still references {leaf.base.name!r}",
+                        f"pattern {past.name!r} still references {selector.name!r}",
                     )
                 if leaf.negated and leaf.transformers:
                     raise CompileError(
@@ -215,77 +221,74 @@ def compile_program(program: Program) -> CompiledProgram:
                 bind_terms = []
                 var_names = []
                 const_tests = []
-                selector = leaf.base
                 for pos, term in enumerate(selector.terms):
-                    if isinstance(term, Var):
+                    kind = type(term)
+                    if kind is Var:
                         bind_terms.append((pos, term.name, 0))
                         var_names.append(term.name)
-                    elif isinstance(term, MustDistinct):
+                    elif kind is MustDistinct:
                         bind_terms.append((pos, term.name, 1))
-                    elif isinstance(term, Const):
+                    elif kind is Const:
                         const_tests.append((pos, term.value))
-                constituents.append(
-                    CompiledConstituent(
-                        cons_index=c_idx,
-                        slot=(p_idx, a_idx, c_idx),
-                        negated=leaf.negated,
-                        selector=selector,
-                        count_n=count_n,
-                        window_ms=window_ms,
-                        every_n=every_n,
-                        debounce_ms=debounce_ms,
-                        accumulates=count_n is not None or window_ms is not None,
-                        transformers=(
-                            _closure(compile_transformers, leaf.transformers, past.name)
-                            if leaf.transformers else None
-                        ),
-                        alpha_key=(selector.type_tag.name, len(selector.terms),
-                                   tuple((pos, type(v), v) for pos, v in const_tests),
-                                   every_n, debounce_ms),
-                        bind_terms=tuple(bind_terms),
-                        needs_local_check=len(var_names) != len(set(var_names)),
-                    )
+                tag_name = selector.type_tag.name
+                # a symbol enters the key as its name, which hashes in C
+                alpha_key = (tag_name, len(selector.terms),
+                             tuple([(pos, type(v), v.name if type(v) is Symbol else v)
+                                    for pos, v in const_tests]) if const_tests else (),
+                             every_n, debounce_ms)
+                cons = CompiledConstituent(  # positional: keywords cost twice as much
+                    c_idx, (p_idx, a_idx, c_idx), leaf.negated, selector,
+                    count_n, window_ms, every_n, debounce_ms,
+                    (_closure(compile_transformers, leaf.transformers, past.name)
+                     if leaf.transformers else None),
+                    count_n is not None or window_ms is not None,  # accumulates
+                    alpha_key, tuple(bind_terms),
+                    len(var_names) != len(set(var_names)),  # needs_local_check
                 )
-            alt = CompiledAlternative(constituents)
-            alt.positives = [c for c in constituents if not c.negated]
-            alt.negatives = [c for c in constituents if c.negated]
-            alt.transformed = tuple(c for c in alt.positives if c.transformers is not None)
-            windows = [c.window_ms for c in alt.negatives if c.window_ms is not None]
-            alt.ordered = bool(windows) or past.options.seq or past.options.interval is not None
-            for cons in alt.positives:
+                constituents.append(cons)
+                spec = alphas.get(alpha_key)
+                if spec is None:
+                    spec = alphas[alpha_key] = AlphaSpec(
+                        alpha_key, selector.type_tag, len(selector.terms), tuple(const_tests),
+                        every_n, debounce_ms,
+                    )
+                    routing.setdefault(tag_name, []).append(spec)
+                spec.targets.append((p_idx, a_idx, cons))
+            positives, negatives, windows, transformed = [], [], [], []
+            for cons in constituents:  # one pass: a comprehension costs a call
+                if cons.negated:
+                    negatives.append(cons)
+                    if cons.window_ms is not None:
+                        windows.append(cons.window_ms)
+                else:
+                    positives.append(cons)
+                    if cons.transformers is not None:
+                        transformed.append(cons)
+            if not positives:
+                raise CompileError(
+                    "NoPositiveConstituent",
+                    f"pattern {past.name!r} has an alternative with no positive constituent",
+                )
+            alt = CompiledAlternative(
+                constituents, positives, negatives, False,
+                bool(windows) or opts.seq or opts.interval is not None,  # ordered
+                tuple(transformed),
+            )
+            for cons in positives:
                 if windows and not cons.accumulates:
                     cons.settle_ms = max(windows)
                 arbitrated = cons.transformers is not None or past.guard is not None
                 if cons.count_n is not None and not (cons.window_ms is not None and arbitrated):
                     cons.min_group = cons.count_n
-            if not alt.positives:
-                raise CompileError(
-                    "NoPositiveConstituent",
-                    f"pattern {past.name!r} has an alternative with no positive constituent",
-                )
             _plan_joins(alt, join_plans)
-            if alt.negatives:  # each negative is keyed on what the positives bind
-                bound = {name for c in alt.positives
-                         for _, name, kind in c.bind_terms if kind == 0}
-                for neg in alt.negatives:
+            if negatives:  # each negative is keyed on what the positives bind
+                bound = {name for c in positives for _, name, kind in c.bind_terms if kind == 0}
+                for neg in negatives:
                     neg.join_key = tuple([(pos, name) for pos, name, kind in neg.bind_terms
                                           if kind == 0 and name in bound])
                     neg.attrs_key, neg.probe_key = _key_getters(neg.join_key)
             alternatives.append(alt)
 
-            for cons in constituents:
-                key = cons.alpha_key
-                spec = alphas.get(key)
-                if spec is None:
-                    tag_name, arity, typed_tests, every_n, debounce_ms = key
-                    const_tests = tuple((pos, v) for pos, _, v in typed_tests)
-                    spec = alphas[key] = AlphaSpec(
-                        key, cons.selector.type_tag, arity, const_tests, every_n, debounce_ms
-                    )
-                    routing.setdefault(tag_name, []).append(spec)
-                spec.targets.append((p_idx, a_idx, cons))
-
-        opts: Options = past.options
         interval_ms = opts.interval.ms if opts.interval else None
         if interval_ms is not None:
             for alt in alternatives:
@@ -298,21 +301,11 @@ def compile_program(program: Program) -> CompiledProgram:
                     ]
                     if partners:
                         cons.slot_bound_ms = interval_ms + min(partners)
-        patterns.append(
-            CompiledPattern(
-                index=p_idx,
-                name=past.name,
-                alternatives=alternatives,
-                guard=(
-                    _closure(compile_expr, past.guard, past.name)
-                    if past.guard is not None else None
-                ),
-                seq=opts.seq,
-                interval_ms=interval_ms,
-                last=opts.last,
-                debounce_ms=opts.debounce.ms if opts.debounce else None,
-            )
-        )
+        patterns.append(CompiledPattern(
+            p_idx, past.name, alternatives,
+            _closure(compile_expr, past.guard, past.name) if past.guard is not None else None,
+            opts.seq, interval_ms, opts.last, opts.debounce.ms if opts.debounce else None,
+        ))
 
     return CompiledProgram(
         patterns=patterns,

@@ -13,6 +13,8 @@ referenced patterns must not carry options.
 
 from __future__ import annotations
 
+from operator import is_
+
 from .errors import ExpandError
 from .nodes import (
     AliasOp,
@@ -21,7 +23,6 @@ from .nodes import (
     Bind,
     Body,
     Const,
-    DistinctMark,
     ElemPattern,
     Expr,
     Fold,
@@ -29,13 +30,11 @@ from .nodes import (
     Lit,
     MayDistinct,
     MustDistinct,
-    NamedRef,
     NotOp,
     OrGroup,
     PatternAst,
     Program,
     Selector,
-    Var,
     body_leaves,
 )
 from .values import Value
@@ -52,33 +51,48 @@ def expand(program: Program) -> Program:
     expanded: dict[str, PatternAst] = {}
     out = []
     for pattern in program.patterns:
-        body, extra_guards = _expand_body(pattern.body, expanded)
+        extra_guards: list[Expr] = []
+        body = _expand_body(pattern.body, expanded, extra_guards)
         guard = pattern.guard
         for g in extra_guards:
             guard = g if guard is None else BinOp("and", g, guard)
-        new = PatternAst(pattern.name, _flatten(body), guard, pattern.options)
+        new = PatternAst(pattern.name, body, guard, pattern.options)
         expanded[pattern.name] = new
         out.append(new)
     return Program(tuple(out), program.bindings)
 
 
-def _expand_body(body: Body, env: dict[str, PatternAst]) -> tuple[Body, list[Expr]]:
+def _expand_body(body: Body, env: dict[str, PatternAst], guards: list[Expr]) -> Body:
+    """``body`` with every named reference expanded, flattened as it is
+    rebuilt: no group holds a group of its own kind, and no ``and`` holds a
+    one-alternative ``or``.  Appends each referenced pattern's guard to
+    ``guards``.  A subtree that needs neither is returned as it is."""
     if isinstance(body, ElemPattern):
-        return _expand_elem(body, env)
-    parts = body.parts if isinstance(body, AndGroup) else body.alts
-    new_parts = []
-    guards: list[Expr] = []
-    for p in parts:
-        np, gs = _expand_body(p, env)
-        new_parts.append(np)
-        guards.extend(gs)
-    cls = AndGroup if isinstance(body, AndGroup) else OrGroup
-    return cls(tuple(new_parts)), guards
+        return _expand_elem(body, env, guards)
+    conj = isinstance(body, AndGroup)
+    old = body.parts if conj else body.alts
+    parts: list[Body] = []
+    for part in old:
+        new = _expand_body(part, env, guards)
+        if isinstance(new, ElemPattern):
+            parts.append(new)
+            continue
+        if conj and isinstance(new, OrGroup) and len(new.alts) == 1:
+            new = new.alts[0]
+        if conj and isinstance(new, AndGroup):
+            parts.extend(new.parts)
+        elif not conj and isinstance(new, OrGroup):
+            parts.extend(new.alts)
+        else:
+            parts.append(new)
+    if len(parts) == len(old) and all(map(is_, parts, old)):
+        return body
+    return AndGroup(tuple(parts)) if conj else OrGroup(tuple(parts))
 
 
-def _expand_elem(elem: ElemPattern, env: dict[str, PatternAst]) -> tuple[Body, list[Expr]]:
+def _expand_elem(elem: ElemPattern, env: dict[str, PatternAst], guards: list[Expr]) -> Body:
     if isinstance(elem.base, Selector):
-        return elem, []
+        return elem
     ref = elem.base
     target = env.get(ref.name)
     if target is None:
@@ -88,12 +102,13 @@ def _expand_elem(elem: ElemPattern, env: dict[str, PatternAst]) -> tuple[Body, l
             "ReferencedPatternHasOptions",
             f"pattern {ref.name!r} carries options and cannot be reused inline",
         )
-    body = _apply_refinements(target.body, ref.refinements, ref.name)
-    guards = [target.guard] if target.guard is not None else []
-
-    leaves = body_leaves(body)
-    if len(leaves) == 1:
-        inner = leaves[0]
+    if target.guard is not None:
+        guards.append(target.guard)
+    leaves = body_leaves(target.body)
+    if len(leaves) == 1:  # refine the one leaf, not the groups around it
+        inner = _apply_refinements(leaves[0], ref.refinements, ref.name)
+        if not (elem.negated or elem.operators or elem.transformers):
+            return inner  # nothing to merge, and its transformers are in order
         negated = elem.negated or inner.negated
         if elem.negated and inner.negated:
             raise ExpandError(
@@ -115,9 +130,10 @@ def _expand_elem(elem: ElemPattern, env: dict[str, PatternAst]) -> tuple[Body, l
             inner.transformers + elem.transformers,
         )
         _check_transformer_order(merged, ref.name)
-        return merged, guards
+        return merged
 
     # composite reference: splice the subtree as-is
+    body = _apply_refinements(target.body, ref.refinements, ref.name)
     if elem.negated:
         raise ExpandError(
             "NegatedCompositeRef", f"cannot negate composite pattern {ref.name!r}"
@@ -132,7 +148,7 @@ def _expand_elem(elem: ElemPattern, env: dict[str, PatternAst]) -> tuple[Body, l
             "TransformersOnCompositeRef",
             f"cannot attach transformers to composite pattern {ref.name!r}",
         )
-    return body, guards
+    return body
 
 
 def _check_transformer_order(elem: ElemPattern, name: str) -> None:
@@ -199,32 +215,22 @@ def _apply_refinements(body: Body, refinements, ref_name: str) -> Body:
     }
 
     def rewrite(term):
-        name = _named(term)
-        if name in consts:
-            return consts[name]
-        if name in renames:
-            new, mark = renames[name]
+        if isinstance(term, Const):
+            return term
+        if term.name in consts:
+            return consts[term.name]
+        if term.name in renames:
+            new, mark = renames[term.name]
             return (mark or type(term))(new)
         return term
 
     return _map_terms(body, rewrite)
 
 
-def _named(term) -> str | None:
-    if isinstance(term, (Var, MustDistinct, MayDistinct)):
-        return term.name
-    return None
-
-
 def _term_names(body: Body) -> set[str]:
-    names: set[str] = set()
-    for leaf in body_leaves(body):
-        if isinstance(leaf.base, Selector):
-            for t in leaf.base.terms:
-                n = _named(t)
-                if n is not None:
-                    names.add(n)
-    return names
+    """The names of the variables and marked variables in ``body``'s selectors."""
+    return {t.name for leaf in body_leaves(body) if isinstance(leaf.base, Selector)
+            for t in leaf.base.terms if not isinstance(t, Const)}
 
 
 def _map_terms(body: Body, fn) -> Body:
@@ -235,7 +241,7 @@ def _map_terms(body: Body, fn) -> Body:
         if not isinstance(base, Selector):
             return body
         terms = tuple([fn(t) for t in base.terms])
-        if terms == base.terms:
+        if all(map(is_, terms, base.terms)):
             return body
         return ElemPattern(body.negated, Selector(base.type_tag, terms),
                            body.operators, body.transformers)
@@ -255,28 +261,3 @@ def _const_eval(e: Expr) -> Value:
     raise ExpandError(
         "InlineGuardNotConst", "inline guard value must be a literal"
     )
-
-
-def _flatten(body: Body) -> Body:
-    """Collapse redundant single-child groups and nested same-kind groups."""
-    if isinstance(body, ElemPattern):
-        return body
-    if isinstance(body, AndGroup):
-        parts: list[Body] = []
-        for p in body.parts:
-            fp = _flatten(p)
-            if isinstance(fp, OrGroup) and len(fp.alts) == 1:
-                fp = fp.alts[0]
-            if isinstance(fp, AndGroup):
-                parts.extend(fp.parts)
-            else:
-                parts.append(fp)
-        return AndGroup(tuple(parts))
-    alts: list[Body] = []
-    for a in body.alts:
-        fa = _flatten(a)
-        if isinstance(fa, OrGroup):
-            alts.extend(fa.alts)
-        else:
-            alts.append(fa)
-    return OrGroup(tuple(alts))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, NamedTuple
 
 from .errors import EvalError
@@ -120,10 +121,12 @@ def _divide(a, b):
 
 
 # the operators whose operands must both be numbers
-_NUMERIC = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-}
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+# every arithmetic result must be printable in a JSON record: no inf or nan,
+# and no int past the 4,300 digits Python converts to text by default
+_MAX_DIGITS = 4300
+_INT_BOUND = 10 ** _MAX_DIGITS
 
 
 def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
@@ -131,9 +134,10 @@ def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
 
     Deterministic and side-effect free.  ``and``/``or`` short-circuit and
     require booleans; comparison operators promote int to float; symbols
-    compare only with ``==``/``!=``; division always yields a float.  Operands
-    are evaluated left to right, and every error is raised where the
-    evaluation reaches it, never at compile time.
+    compare only with ``==``/``!=``; division always yields a float.  An
+    arithmetic result that is not a finite float or an int of at most 4,300
+    digits is an error.  Operands are evaluated left to right, and every
+    error is raised where the evaluation reaches it, never at compile time.
     """
     if isinstance(expr, Lit):
         value = expr.value
@@ -187,7 +191,26 @@ def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
             return values_equal(lv, rv) is want
 
         return equality
-    apply = _NUMERIC.get(op)
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+
+        def checked(env):
+            lv = left(env)
+            rv = right(env)
+            if not _numbers(lv, rv):
+                raise EvalError("TypeMismatch", f"{lv!r} {op} {rv!r}")
+            try:
+                value = arithmetic(lv, rv)
+            except OverflowError:  # an int too large to convert to a float
+                value = inf
+            # exact, so inf, nan and an int of more digits all fail
+            if not abs(value) < _INT_BOUND:
+                raise EvalError("OutOfRange", f"{op} gives no finite float or int "
+                                              f"of at most {_MAX_DIGITS} digits")
+            return value
+
+        return checked
+    apply = _COMPARISONS.get(op)
 
     def numeric(env):
         lv = left(env)

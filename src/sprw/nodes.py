@@ -1,7 +1,10 @@
 """Pattern-language syntax tree.
 
-All nodes are frozen dataclasses so parsed programs are immutable values;
-expansion and compilation build new trees instead of mutating.
+All nodes are frozen slotted dataclasses, built by :func:`sprw.values.frozen`
+(whose ``__init__`` writes each slot directly), so parsed programs are
+immutable values that hash and compare field by field; expansion and
+compilation build new trees instead of mutating.  A field may have a default
+but not a default factory.
 
 A parsed pattern body is always an :class:`OrGroup` of :class:`AndGroup` of
 :class:`ElemPattern` leaves (the surface grammar has no parentheses, and
@@ -11,32 +14,30 @@ a composite body into a leaf position, so expanded bodies are general trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .values import Duration, Symbol, Value
+from .values import Duration, Symbol, Value, frozen
 
 # --------------------------------------------------------------------------
 # selector terms
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Const:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MustDistinct:
     """``!name`` — the bound values must be pairwise distinct across a group."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class MayDistinct:
     """``@name`` — matches any value, adds no constraint and no binding."""
 
@@ -46,7 +47,7 @@ class MayDistinct:
 Term = Const | Var | MustDistinct | MayDistinct
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Selector:
     """A message shape: constant type tag plus ordered attribute terms."""
 
@@ -62,22 +63,22 @@ class Selector:
 # guard / transformer expressions
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NotOp:
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BinOp:
     op: str  # and or == != < <= > >= + - * /
     left: "Expr"
@@ -87,7 +88,7 @@ class BinOp:
 Expr = Lit | VarRef | NotOp | BinOp
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FoldFn:
     """``fn({_, _, v}, acc) -> body end`` — params destructure the full
     message tuple (type tag first); ``None`` entries are wildcards."""
@@ -97,13 +98,13 @@ class FoldFn:
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Fold:
     init: Expr
     fn: FoldFn
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Bind:
     name: str
 
@@ -115,22 +116,22 @@ Transformer = Fold | Bind
 # elementary-pattern operators
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Window:
     duration: Duration
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Debounce:
     duration: Duration
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Every:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Count:
     n: int
 
@@ -142,7 +143,7 @@ ElemOperator = Window | Debounce | Every | Count
 # named-reference refinements
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class InlineGuard:
     """``name = literal`` — substitute the variable with a constant."""
 
@@ -150,7 +151,7 @@ class InlineGuard:
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class AliasOp:
     """``src ~> dst`` — rename a logic variable during expansion."""
 
@@ -158,7 +159,7 @@ class AliasOp:
     dst: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class DistinctMark:
     """``@name`` / ``!name`` inside a refinement group — re-mark a variable."""
 
@@ -169,7 +170,7 @@ class DistinctMark:
 Refinement = InlineGuard | AliasOp | DistinctMark
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NamedRef:
     name: str
     refinements: tuple[Refinement, ...] = ()
@@ -179,7 +180,7 @@ class NamedRef:
 # pattern bodies
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ElemPattern:
     negated: bool
     base: Selector | NamedRef
@@ -187,12 +188,12 @@ class ElemPattern:
     transformers: tuple[Transformer, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class AndGroup:
     parts: tuple["Body", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class OrGroup:
     alts: tuple["Body", ...]
 
@@ -207,11 +208,14 @@ def body_leaves(body: Body) -> list[ElemPattern]:
     parts = body.parts if isinstance(body, AndGroup) else body.alts
     out: list[ElemPattern] = []
     for p in parts:
-        out.extend(body_leaves(p))
+        if isinstance(p, ElemPattern):
+            out.append(p)
+        else:
+            out.extend(body_leaves(p))
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Options:
     seq: bool = False
     interval: Duration | None = None
@@ -219,25 +223,26 @@ class Options:
     debounce: Duration | None = None
 
     def is_default(self) -> bool:
-        return self == Options()
+        """``self == Options()``, without building one."""
+        return not (self.seq or self.last) and self.interval is None and self.debounce is None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PatternAst:
     name: str
     body: Body
     guard: Expr | None = None
-    options: Options = field(default_factory=Options)
+    options: Options = Options()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ReactionBinding:
     pattern: str
     label: str
     emit_form: bool = False  # surface style only: `emit(label)` vs bare label
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Program:
     patterns: tuple[PatternAst, ...]
     bindings: tuple[ReactionBinding, ...] = ()

@@ -44,55 +44,81 @@ from .values import Duration, Symbol, TIME_UNITS
 # --------------------------------------------------------------------------
 # lexer
 
+# One alternative per token class and no groups, so ``findall`` returns the
+# lexemes themselves.  Alternatives are tried in turn, so the commonest come
+# first; where two can start at one character, the longer comes first (a
+# symbol before ':', a two-character operator before its first character).
 # Spaces, tabs, carriage returns and newlines separate tokens; any other
-# character that starts no token is `bad`.
-_TOKEN_RE = re.compile(
+# character that starts no token is a lexeme of its own, reported as
+# unexpected.
+_LEXEME_RE = re.compile(
     r"""
-      (?P<comment>\#[^\n]*)
-    | (?P<FLOAT>\d+\.\d+)
-    | (?P<INT>\d+)
-    | (?P<SYMBOL>:[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<STRING>"(?:\\.|[^"\\\n])*")
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>\|>|~>|->|==|!=|<=|>=|[{}()\[\],:=<>+\-*/@!])
-    | (?P<bad>[^ \t\r\n])
+      [A-Za-z_][A-Za-z0-9_]*
+    | :[A-Za-z_][A-Za-z0-9_]*
+    | \|>|~>|->|==|!=|<=|>=|[{}()\[\],:=<>+\-*/@!]
+    | \d+(?:\.\d+)?
+    | \#[^\n]*
+    | "(?:\\.|[^"\\\n])*"
+    | [^ \t\r\n]
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {
-    "pattern", "as", "and", "or", "not", "when", "options",
-    "true", "false", "fold", "bind", "fn", "end", "react_to", "with", "emit",
+# a keyword or an operator is its own kind
+_FIXED_KINDS = {lexeme: lexeme for lexeme in (
+    "pattern", "as", "and", "or", "not", "when", "options", "true", "false",
+    "fold", "bind", "fn", "end", "react_to", "with", "emit",
+    "|>", "~>", "->", "==", "!=", "<=", ">=", *"{}()[],:=<>+-*/@!",
+)}
+# an identifier, a symbol or a comment is known by its first character
+_LEAD_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    ":": "SYMBOL",  # a lone ':' is an operator
+    "#": "comment",
 }
 
 
-def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The kind, text and source offset of every token, as three lists.
+def _other_kind(lexeme: str) -> str:
+    """The kind of a number, a string or an unexpected character."""
+    if lexeme[0].isdecimal():  # as ``\d``, which takes any decimal digit
+        return "FLOAT" if "." in lexeme else "INT"
+    if lexeme[0] == '"' and len(lexeme) > 1:  # an unclosed quote lexes alone
+        return "STRING"
+    return "bad"
+
+
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kind and text of every token, as two lists.
 
     A kind is IDENT SYMBOL INT FLOAT STRING, the keyword or operator itself,
-    or EOF.  The lists hold only strings and ints, which the garbage collector
-    does not track, so a long program's tokens add nothing to its passes.  Two
-    EOF entries end them, so the parser may look one token past the end."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    add_kind, add_text, add_start = kinds.append, texts.append, starts.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "op" or kind == "IDENT" and lexeme in _KEYWORDS:
-            kind = lexeme
-        elif kind == "comment":
-            continue
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", *_position(text, m.start()))
-        add_kind(kind)
-        add_text(lexeme)
-        add_start(m.start())
+    or EOF.  The lists hold only strings, which the garbage collector does
+    not track, so a long program's tokens add nothing to its passes.  Two EOF
+    entries end them, so the parser may look one token past the end.  A
+    token's source offset is found only for an error (:func:`_token_offset`)."""
+    texts = _LEXEME_RE.findall(text)
+    kinds = [_FIXED_KINDS.get(lexeme) or _LEAD_KINDS.get(lexeme[0]) or _other_kind(lexeme)
+             for lexeme in texts]
+    if "comment" in kinds:
+        texts = [lexeme for lexeme, kind in zip(texts, kinds) if kind != "comment"]
+        kinds = [kind for kind in kinds if kind != "comment"]
+    if "bad" in kinds:
+        pos = kinds.index("bad")
+        raise ParseError(f"unexpected character {texts[pos]!r}",
+                         *_position(text, _token_offset(text, pos)))
     kinds += ("EOF", "EOF")
     texts += ("", "")
-    starts += (len(text), len(text))
-    return kinds, texts, starts
+    return kinds, texts
+
+
+def _token_offset(text: str, pos: int) -> int:
+    """The source offset of token ``pos`` (comments are not tokens);
+    past the last token, the end of ``text``."""
+    for m in _LEXEME_RE.finditer(text):
+        if m.group()[0] != "#":
+            if pos == 0:
+                return m.start()
+            pos -= 1
+    return len(text)
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -123,14 +149,21 @@ def _unquote(raw: str) -> str:
 _OPTION_KEYS = ("seq", "interval", "last", "debounce")
 _OPERATOR_KEYS = ("window", "debounce", "every", "count")
 # deepest expression nesting (parentheses and prefix `not`) accepted; the
-# recursive descent spends about seven frames per level
+# recursive descent spends about three frames per level
 MAX_NESTING = 100
+# how tightly each binary operator binds: or < and < (prefix not) <
+# comparison < additive < multiplicative; each associates to the left
+_BINARY_PREC = {
+    "or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+_NOT_PREC = 3  # `not` takes a comparison or another `not`
 
 
 class Parser:
     def __init__(self, text: str):
         self.source = text
-        self.kinds, self.texts, self.starts = tokenize(text)
+        self.kinds, self.texts = tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and prefix `not`s
 
@@ -144,9 +177,6 @@ class Parser:
             self.pos = pos + 1
         return self.texts[pos]
 
-    def at(self, *kinds: str) -> bool:
-        return self.kinds[self.pos] in kinds
-
     def expect(self, kind: str) -> str:
         """Consume a token of ``kind`` and return its text."""
         pos = self.pos
@@ -157,16 +187,17 @@ class Parser:
 
     def error(self, message: str, pos: int, expected=(), code: str = "SyntaxError") -> ParseError:
         """A ParseError positioned at token ``pos``."""
-        return ParseError(message, *_position(self.source, self.starts[pos]), expected, code)
+        offset = _token_offset(self.source, pos)
+        return ParseError(message, *_position(self.source, offset), expected, code)
 
-    def nest(self, parse):
-        """Run a recursive production one nesting level deeper."""
+    def nest(self, min_prec: int):
+        """``parse_expr(min_prec)`` one nesting level deeper."""
         if self.depth == MAX_NESTING:
             raise self.error(
                 f"expression nested more than {MAX_NESTING} deep", self.pos, code="NestingTooDeep"
             )
         self.depth += 1
-        node = parse()
+        node = self.parse_expr(min_prec)
         self.depth -= 1
         return node
 
@@ -179,8 +210,8 @@ class Parser:
         patterns: list[PatternAst] = []
         bindings: list[ReactionBinding] = []
         seen: set[str] = set()
-        while not self.at("EOF"):
-            if self.at("pattern"):
+        while self.kinds[self.pos] != "EOF":
+            if self.kinds[self.pos] == "pattern":
                 p = self.parse_pattern_definition()
                 if p.name in seen:
                     raise self.error(
@@ -188,7 +219,7 @@ class Parser:
                     )
                 seen.add(p.name)
                 patterns.append(p)
-            elif self.at("react_to"):
+            elif self.kinds[self.pos] == "react_to":
                 bindings.append(self.parse_react_to())
             else:
                 self.fail(
@@ -203,7 +234,7 @@ class Parser:
         self.expect(",")
         self.expect("with")
         self.expect(":")
-        if self.at("emit"):
+        if self.kinds[self.pos] == "emit":
             self.advance()
             self.expect("(")
             label = self.expect("IDENT")
@@ -220,22 +251,21 @@ class Parser:
         self.expect("as")
         body = self.parse_body()
         guard = None
-        if self.at("when"):
+        if self.kinds[self.pos] == "when":
             self.advance()
             guard = self.parse_expr()
-        options = Options()
-        if self.at(",") and self.kinds[self.pos + 1] == "options":
+        if self.kinds[self.pos] == "," and self.kinds[self.pos + 1] == "options":
             self.advance()
             self.expect("options")
             self.expect(":")
-            options = self.parse_options()
-        return PatternAst(name, body, guard, options)
+            return PatternAst(name, body, guard, self.parse_options())
+        return PatternAst(name, body, guard)
 
     def parse_body(self) -> OrGroup:
         # `and` binds tighter than `or`; both chains are left-to-right.
         alts: list[AndGroup] = []
         parts: list[ElemPattern] = [self.parse_elem_pattern()]
-        while self.at("and", "or"):
+        while self.kinds[self.pos] in ("and", "or"):
             op = self.advance()
             nxt = self.parse_elem_pattern()
             if op == "and":
@@ -248,21 +278,29 @@ class Parser:
 
     def parse_elem_pattern(self) -> ElemPattern:
         negated = False
-        if self.at("not"):
+        if self.kinds[self.pos] == "not":
             self.advance()
             negated = True
         base = self.parse_selector_or_ref()
+        operators = self.parse_operators() if self.kinds[self.pos] == "[" else ()
+        transformers = self.parse_transformers() if self.kinds[self.pos] == "|>" else ()
+        return ElemPattern(negated, base, operators, transformers)
+
+    def parse_operators(self) -> tuple:
         operators = []
         seen_kinds: set[type] = set()
-        while self.at("["):
+        while self.kinds[self.pos] == "[":
             for op in self.parse_operator_group():
                 if type(op) in seen_kinds:
                     self.fail(f"duplicate operator {type(op).__name__.lower()!r}")
                 seen_kinds.add(type(op))
                 operators.append(op)
+        return tuple(operators)
+
+    def parse_transformers(self) -> tuple:
         transformers = []
         saw_fold = False
-        while self.at("|>"):
+        while self.kinds[self.pos] == "|>":
             self.advance()
             t = self.parse_transformer()
             if isinstance(t, Fold):
@@ -270,15 +308,16 @@ class Parser:
             elif not saw_fold:
                 self.fail("bind must be preceded by a fold")
             transformers.append(t)
-        return ElemPattern(negated, base, tuple(operators), tuple(transformers))
+        return tuple(transformers)
 
     def parse_selector_or_ref(self):
-        if self.at("{"):
+        kind = self.kinds[self.pos]
+        if kind == "{":
             return self.parse_selector()
-        if self.at("IDENT"):
+        if kind == "IDENT":
             name = self.advance()
             refinements = []
-            while self.at("{"):
+            while self.kinds[self.pos] == "{":
                 refinements.extend(self.parse_refinement_group())
             return NamedRef(name, tuple(refinements))
         self.fail(f"expected selector, got {self.texts[self.pos] or 'end-of-input'!r}",
@@ -288,7 +327,7 @@ class Parser:
         self.expect("{")
         tag = self.expect("SYMBOL")
         terms = []
-        while self.at(","):
+        while self.kinds[self.pos] == ",":
             self.advance()
             terms.append(self.parse_attribute())
         self.expect("}")
@@ -346,23 +385,24 @@ class Parser:
     def parse_refinement_group(self):
         self.expect("{")
         out = [self.parse_refinement()]
-        while self.at(","):
+        while self.kinds[self.pos] == ",":
             self.advance()
             out.append(self.parse_refinement())
         self.expect("}")
         return out
 
     def parse_refinement(self):
-        if self.at("@", "!"):
+        if self.kinds[self.pos] in ("@", "!"):
             marker = self.advance()
             name = self.expect("IDENT")
             return DistinctMark(marker, name)
         name = self.expect("IDENT")
-        if self.at("~>"):
+        kind = self.kinds[self.pos]
+        if kind == "~>":
             self.advance()
             dst = self.expect("IDENT")
             return AliasOp(name, dst)
-        if self.at("="):
+        if kind == "=":
             self.advance()
             return InlineGuard(name, self.parse_expr())
         self.fail(f"expected refinement operator after {name!r}", {"=", "~>"})
@@ -372,7 +412,7 @@ class Parser:
     def parse_operator_group(self):
         self.expect("[")
         ops = [self.parse_operator()]
-        while self.at(","):
+        while self.kinds[self.pos] == ",":
             self.advance()
             ops.append(self.parse_operator())
         self.expect("]")
@@ -437,7 +477,7 @@ class Parser:
         self.expect("(")
         self.expect("{")
         params: list[str | None] = [self.parse_fold_param()]
-        while self.at(","):
+        while self.kinds[self.pos] == ",":
             self.advance()
             params.append(self.parse_fold_param())
         self.expect("}")
@@ -477,7 +517,7 @@ class Parser:
                 interval = self.parse_time()
             else:
                 debounce = self.parse_time()
-            if self.at(","):
+            if self.kinds[self.pos] == ",":
                 self.advance()
                 continue
             break
@@ -485,67 +525,34 @@ class Parser:
         return Options(seq=seq, interval=interval, last=last, debounce=debounce)
 
     def parse_bool(self) -> bool:
-        if self.at("true", "false"):
+        if self.kinds[self.pos] in ("true", "false"):
             return self.advance() == "true"
         self.fail(f"expected boolean, got {self.texts[self.pos]!r}", {"true", "false"})
 
     # -- expressions ---------------------------------------------------------
-    # or < and < not < comparison < additive < multiplicative < primary
 
-    def parse_expr(self):
-        return self.parse_or_expr()
-
-    def parse_or_expr(self):
-        left = self.parse_and_expr()
-        while self.at("or"):
-            self.advance()
-            left = BinOp("or", left, self.parse_and_expr())
-        return left
-
-    def parse_and_expr(self):
-        left = self.parse_not_expr()
-        while self.at("and"):
-            self.advance()
-            left = BinOp("and", left, self.parse_not_expr())
-        return left
-
-    def parse_not_expr(self):
-        if self.at("not"):
-            self.advance()
-            return NotOp(self.nest(self.parse_not_expr))
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        left = self.parse_additive()
-        while self.at("==", "!=", "<", "<=", ">", ">="):
-            op = self.advance()
-            left = BinOp(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.at("+", "-"):
-            op = self.advance()
-            left = BinOp(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_primary()
-        while self.at("*", "/"):
-            op = self.advance()
-            left = BinOp(op, left, self.parse_primary())
-        return left
-
-    def parse_primary(self):
+    def parse_expr(self, min_prec: int = 1):
+        """An expression whose binary operators bind at least as tightly as
+        ``min_prec`` (precedence climbing; see _BINARY_PREC)."""
         kind = self.kinds[self.pos]
-        if kind == "(":
+        if kind == "not" and min_prec <= _NOT_PREC:
             self.advance()
-            inner = self.nest(self.parse_or_expr)
+            left = NotOp(self.nest(_NOT_PREC))
+        elif kind == "(":
+            self.advance()
+            left = self.nest(1)
             self.expect(")")
-            return inner
-        if kind == "IDENT":
-            return VarRef(self.advance())
-        return Lit(self.parse_value())
+        elif kind == "IDENT":
+            left = VarRef(self.advance())
+        else:
+            left = Lit(self.parse_value())
+        while True:
+            op = self.kinds[self.pos]
+            prec = _BINARY_PREC.get(op, 0)
+            if prec < min_prec:
+                return left
+            self.advance()
+            left = BinOp(op, left, self.parse_expr(prec + 1))
 
 
 def parse_program(text: str) -> Program:

@@ -17,6 +17,7 @@ binding keys, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterable, Iterator
 from math import isfinite
 from typing import NamedTuple
@@ -51,6 +52,9 @@ def encode_value(v: Value):
 # whole; it skips the argument checks and whitespace scans of json.loads
 _DECODER = json.JSONDecoder()
 _NO_ATTRS: list = []  # a message without "attrs" has none
+# echoes a rejected value cut to 6 levels, 6 items and 30 characters of a
+# string: a line may nest a value hundreds of levels deep
+_BRIEF = reprlib.Repr()
 
 
 def load_trace(text: str) -> list[TraceEvent]:
@@ -79,11 +83,15 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
             end = -1
         except ValueError:  # an integer past Python's int-string conversion limit
             raise TraceError("invalid JSON: integer has too many digits", lineno) from None
+        except RecursionError:
+            raise TraceError("invalid JSON: nested too deeply", lineno) from None
         if end != len(raw):  # not one JSON document: json.loads names the fault
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as err:
                 raise TraceError(f"invalid JSON: {err.msg}", lineno) from None
+            except RecursionError:
+                raise TraceError("invalid JSON: nested too deeply", lineno) from None
         if type(obj) is not dict:
             raise TraceError("trace line must be a JSON object", lineno)
         if "advance" in obj:
@@ -104,10 +112,10 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
             raise TraceError(f"timestamp regression at line {lineno}", lineno)
         current = ts
         tag = obj["type"]
-        if type(tag) is not str or tag[:1] != ":":
-            raise TraceError("'type' must be a symbol string like \":motion\"", lineno)
-        type_tag = tags.get(tag)
-        if type_tag is None:
+        type_tag = tags.get(tag) if type(tag) is str else None
+        if type_tag is None:  # a new type: check it once
+            if type(tag) is not str or tag[:1] != ":":
+                raise TraceError("'type' must be a symbol string like \":motion\"", lineno)
             type_tag = tags[tag] = Symbol(tag[1:])
         raw_attrs = obj.get("attrs", _NO_ATTRS)
         if type(raw_attrs) is not list:
@@ -118,7 +126,7 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
             if kind is str:
                 value = Symbol(value[1:]) if value[:1] == ":" else value
             elif kind is not int and kind is not bool and (kind is not float or not isfinite(value)):
-                raise TraceError(f"unsupported attribute value {value!r}", lineno)
+                raise TraceError(f"unsupported attribute value {_BRIEF.repr(value)}", lineno)
             attrs.append(value)
         yield MessageEvent(ts, type_tag, tuple(attrs), lineno)
 

@@ -111,6 +111,26 @@ def test_run_diagnostics_exit_3(tmp_path):
     assert "TypeMismatch" in r.stderr
 
 
+@pytest.mark.parametrize("value", [
+    "7" * 4000,  # the product has 8,000 digits: past record_line's limit
+    "1e200",  # the product is inf, which JSON cannot hold
+], ids=["big-int", "inf"])
+def test_arithmetic_out_of_range_exit_3(tmp_path, value):
+    pats = tmp_path / "fold.sprw"
+    pats.write_text("pattern p as {:a, x}[count: 2] |> fold(1, fn({_, v}, acc) -> acc * v end)"
+                    " |> bind(t) when t > 0\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(f'{{"ts": 0, "type": ":a", "attrs": [{value}]}}\n'
+                     f'{{"ts": 1, "type": ":a", "attrs": [{value}]}}\n')
+    r = run_cli("run", "--patterns", str(pats), "--trace", str(trace))
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.splitlines() == [
+        "warning: messages of type :a are retained until consumed",
+        "diagnostic: OutOfRange in p at 1: OutOfRange: "
+        "* gives no finite float or int of at most 4300 digits",
+    ]
+
+
 @pytest.mark.parametrize("opening", ["(", "not "])
 def test_deeply_nested_guard_exit_2(tmp_path, opening):
     deep = tmp_path / "deep.sprw"

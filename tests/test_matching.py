@@ -119,6 +119,25 @@ class TestEval:
             eval_expr(BinOp("/", Lit(1), Lit(0)), {})
         assert err.value.code == "DivisionByZero"
 
+    @pytest.mark.parametrize("op, x, y", [
+        ("*", 1e200, 1e200),  # inf
+        ("-", 1e308, -1e308),  # inf
+        ("*", 10 ** 2200, 10 ** 2200),  # 4,401 digits
+        ("+", 10 ** 400, 1.5),  # the int does not fit a float
+        ("/", 10 ** 400, 3),  # nor does the quotient
+    ])
+    def test_arithmetic_out_of_range(self, op, x, y):
+        with pytest.raises(EvalError) as err:
+            eval_expr(BinOp(op, VarRef("x"), VarRef("y")), {"x": x, "y": y})
+        assert err.value.code == "OutOfRange"
+
+    def test_arithmetic_at_the_edge_of_range(self):
+        biggest = 10 ** 4300 - 1  # 4,300 digits
+        assert eval_expr(BinOp("+", VarRef("x"), Lit(0)), {"x": biggest}) == biggest
+        assert eval_expr(BinOp("*", Lit(1e200), Lit(1e100)), {}) == 1e300
+        # comparisons stay unchecked
+        assert eval_expr(BinOp("<", VarRef("x"), Lit(1.5)), {"x": 10 ** 400}) is False
+
     def test_int_promotes_to_float_in_comparisons(self):
         assert eval_expr(BinOp("==", Lit(1), Lit(1.0)), {}) is True
         assert eval_expr(BinOp("<", Lit(1), Lit(1.5)), {}) is True

@@ -45,6 +45,13 @@ TRACE_ERRORS = [
     ('{"ts": 1, "type": ":a"}\n{"ts": ' + "9" * 5000 + ', "type": ":a"}', 2,
      "invalid JSON: integer has too many digits"),
     ('{"advance": -' + "9" * 5000 + "}", 1, "invalid JSON: integer has too many digits"),
+    # past the interpreter's recursion limit, and a deep value echoed in part
+    ('{"ts": 1, "type": ":a", "attrs": [' + "[" * 1000 + "]" * 1000 + "]}", 1,
+     "invalid JSON: nested too deeply"),
+    ('{"ts": 1, "type": ":a", "attrs": [' + "[" * 900 + "]" * 900 + "]}", 1,
+     "unsupported attribute value [[[[[[[...]]]]]]]"),
+    ('{"ts": 1, "type": ":a", "attrs": [' + ", ".join(["1"] * 50) + ", [" + ", ".join(
+        ["2"] * 50) + "]]}", 1, "unsupported attribute value [2, 2, 2, 2, 2, 2, ...]"),
     # blank and comment lines are skipped but still counted
     ('\n# c\n   \n{"ts": 1, "type": ":a"}\n# x\n\n{"ts": "x", "type": ":a"}', 7,
      "'ts' must be a non-negative integer (ms)"),
