@@ -12,11 +12,12 @@ module-level function over an explicit state tuple, not a closure, so an
 evaluation leaves no reference cycle: reference counting frees all of it.
 An alternative with one positive runs the same search, one step deep.
 
-The caller's slot views decide liveness: they yield only messages younger
-than their slot's ``compile.death_age`` at the evaluation instant, so the
-search checks no retention, lifetime or window age.  It checks unification,
-``seq``, ``interval`` and negation, and skips the ``seq``/``interval``
-bookkeeping on an alternative with neither and no windowed negation.
+The caller's slot views, which address a slot by its constituent, decide
+liveness: they yield only messages younger than their slot's
+``compile.death_age`` at the evaluation instant, so the search checks no
+retention, lifetime or window age.  It checks unification, ``seq``,
+``interval`` and negation, and skips the ``seq``/``interval`` bookkeeping on
+an alternative with neither and no windowed negation.
 
 Optional inputs, which only the engine passes, narrow the search without
 changing its result.  A ``lookup`` callback returns a keyed slot's messages
@@ -69,16 +70,16 @@ def evaluate_pattern(
 ) -> EvalOutcome:
     """Attempt one match for ``cp`` at time ``now``.
 
-    ``get_candidates(alt_idx, cons_index)`` yields a slot's live messages in
-    (ts, seq) ascending order: unconsumed candidates on a positive slot,
-    blockers on a negated one.  ``lookup(alt_idx, cons_index, key)``, when
+    ``get_candidates(cons)`` yields the live messages of constituent
+    ``cons``'s slot in (ts, seq) ascending order: unconsumed candidates on a
+    positive slot, blockers on a negated one.  ``lookup(cons, key)``, when
     given, yields a keyed slot's messages with that join key, in the same
     order.  ``watermark``, when given with ``lookup``, restricts delta
     alternatives to combinations that hold a message with a greater ``seq``.
     At most one match is produced (single pattern selection).
     """
-    for a_idx, alt in enumerate(cp.alternatives):
-        sel = _select(cp, alt, a_idx, get_candidates, now, lookup, watermark)
+    for alt in cp.alternatives:
+        sel = _select(cp, alt, get_candidates, now, lookup, watermark)
         if sel is None:
             continue
         groups, env = sel
@@ -112,7 +113,6 @@ def evaluate_pattern(
 def _select(
     cp: CompiledPattern,
     alt: CompiledAlternative,
-    a_idx: int,
     get_candidates,
     now: int,
     lookup,
@@ -123,7 +123,7 @@ def _select(
     None when there is none."""
     groups: dict[int, list[Message]] = {}
     used: set[int] = set()
-    fixed = (cp, alt, a_idx, get_candidates, now, lookup, groups, used)
+    fixed = (cp, alt, get_candidates, now, lookup, groups, used)
     if watermark is None or lookup is None or not alt.delta:
         env = _search(fixed + (-1, None, None), 0, {}, {}, None, None, None)
         return None if env is None else (groups, env)
@@ -134,7 +134,7 @@ def _select(
     positives = alt.positives
     best = best_key = None
     for j, cons in enumerate(positives):
-        cands = get_candidates(a_idx, cons.cons_index)
+        cands = get_candidates(cons)
         first_new = len(cands)
         while first_new and cands[first_new - 1].seq > watermark:
             first_new -= 1
@@ -163,7 +163,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     ``seed_at`` (-1 in a full search), and before it only messages at or
     below ``watermark``.  The last position checks the negations itself, and
     a failed branch leaves its stale group behind for the next to overwrite."""
-    (cp, alt, a_idx, get_candidates, now, lookup, groups, used,
+    (cp, alt, get_candidates, now, lookup, groups, used,
      seed_at, seed, watermark) = state
     positives = alt.positives
     cons = positives[i]
@@ -172,11 +172,11 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     if i == seed_at:
         cands = seed
     elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
-        cands = lookup(a_idx, cons.cons_index, cons.probe_key(env))
+        cands = lookup(cons, cons.probe_key(env))
         if i < seed_at:
             cands = [m for m in cands if m.seq <= watermark]
     else:
-        cands = get_candidates(a_idx, cons.cons_index)
+        cands = get_candidates(cons)
     nkey = nmin = nmax = None
     if cons.accumulates:
         built = _build_group(cons, cp, cands, env, distinct, used)
@@ -190,7 +190,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
         groups[cons.cons_index] = group
         if final:
             if alt.negatives and not _negations_ok(
-                alt, a_idx, get_candidates, env, distinct, now, nmax, lookup
+                alt, get_candidates, env, distinct, now, nmax, lookup
             ):
                 return None
             return env
@@ -212,7 +212,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
                 continue
         if final:
             if alt.negatives and not _negations_ok(
-                alt, a_idx, get_candidates, r[0], r[1], now, nmax, lookup
+                alt, get_candidates, r[0], r[1], now, nmax, lookup
             ):
                 continue
             groups[cons.cons_index] = [m]
@@ -281,15 +281,15 @@ def _build_group(
     return acc, env, distinct
 
 
-def _negations_ok(alt, a_idx, get_candidates, env, distinct, now, max_ts, lookup) -> bool:
+def _negations_ok(alt, get_candidates, env, distinct, now, max_ts, lookup) -> bool:
     for cons in alt.negatives:
         w = cons.window_ms
         if w is not None and now < max_ts + w:
             return False  # the absence window has not fully elapsed yet
         if lookup is not None and cons.join_key:
-            blockers = lookup(a_idx, cons.cons_index, cons.probe_key(env))
+            blockers = lookup(cons, cons.probe_key(env))
         else:
-            blockers = get_candidates(a_idx, cons.cons_index)
+            blockers = get_candidates(cons)
         for m in blockers:
             if extend_env(cons.bind_terms, m, env, distinct) is not None:
                 return False

@@ -41,15 +41,8 @@ class CompiledConstituent:
     selector: Selector
     count_n: int | None
     window_ms: int | None
-    every_n: int | None
-    debounce_ms: int | None
     transformers: Callable | None  # the compiled fold/bind chain
     accumulates: bool  # count or window: the slot contributes a greedy group
-    # (type tag name, arity, constant tests as (attr index, type, value, a
-    # symbol by its name), every_n, debounce_ms): constituents with equal keys
-    # share one alpha node; the type keeps 1, 1.0 and True apart, and a
-    # symbol apart from the string of its name, as values_equal does
-    alpha_key: tuple = ()
     # non-constant terms as (attr index, name, kind 0=var/1=must-distinct);
     # constant tests are already guaranteed by the alpha node, and
     # may-distinct terms impose nothing, so the join only walks these
@@ -231,18 +224,22 @@ def compile_program(program: Program) -> CompiledProgram:
                     elif kind is Const:
                         const_tests.append((pos, term.value))
                 tag_name = selector.type_tag.name
-                # a symbol enters the key as its name, which hashes in C
+                # (type tag name, arity, constant tests as (attr index, type,
+                # value, a symbol by its name, which hashes in C), every_n,
+                # debounce_ms): constituents with equal keys share one alpha
+                # node; the type keeps 1, 1.0 and True apart, and a symbol
+                # apart from the string of its name, as values_equal does
                 alpha_key = (tag_name, len(selector.terms),
                              tuple([(pos, type(v), v.name if type(v) is Symbol else v)
                                     for pos, v in const_tests]) if const_tests else (),
                              every_n, debounce_ms)
                 cons = CompiledConstituent(  # positional: keywords cost twice as much
                     c_idx, (p_idx, a_idx, c_idx), leaf.negated, selector,
-                    count_n, window_ms, every_n, debounce_ms,
+                    count_n, window_ms,
                     (_closure(compile_transformers, leaf.transformers, past.name)
                      if leaf.transformers else None),
                     count_n is not None or window_ms is not None,  # accumulates
-                    alpha_key, tuple(bind_terms),
+                    tuple(bind_terms),
                     len(var_names) != len(set(var_names)),  # needs_local_check
                 )
                 constituents.append(cons)

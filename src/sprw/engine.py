@@ -68,15 +68,18 @@ narrows which candidates those are:
   pattern for re-evaluation.  An accumulating positive yields all of its
   messages: its greedy group depends on every message it may take.
 * A readiness gate skips the evaluation unless some alternative can fill
-  each positive slot: the slot holds a settled message, and at least as
-  many messages as a count group there needs (its ``min_group``).  A delta
-  alternative whose watermark is set passes only if some message newer than
-  the watermark has a non-empty bucket in every other positive's index, a
-  necessary condition for a new combination.  A skip is a miss: it sets the
-  watermark.
+  each positive slot: its view yields at least ``min_group`` messages, as
+  many as a count group there needs (1, so a settled one, where ``settle_ms``
+  is set).  A delta alternative whose watermark is set passes only if some
+  message newer than the watermark has a non-empty bucket in every other
+  positive's index, a necessary condition for a new combination.  A skip is
+  a miss: it sets the watermark.
 
-The slot callbacks read the clock from a one-element list, not from the
-Network, so a Network holds no reference cycle and reference counting frees it.
+One pair of slot views, built with the Network, serves every pattern: each
+addresses a slot by its constituent, picks the store by ``negated`` and cuts
+to the settled prefix by ``settle_ms``.  The views read the clock from a
+one-element list, not from the Network, so a Network holds no reference
+cycle and reference counting frees it.
 
 A Network is single-writer: ingest/advance_time/gc must be serialised by the
 owning context.  Returned results are immutable and may be shared freely.
@@ -86,7 +89,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from itertools import count
 from operator import attrgetter
 
 from .combine import evaluate_pattern
@@ -123,12 +125,11 @@ class Network:
         self.blockers: dict[tuple[int, int, int], list[Message]] = {}
         self.router = AlphaRouter(compiled)
         self.last_activation: list[int | None] = [None] * len(compiled.patterns)
-        # (due, pattern, id, payload): the payload is the windowed slot whose
-        # dead messages the timer drops, or None for a pure time flip
-        # (negation clearance or debounce expiry); the unique id keeps heap
-        # comparisons off the payload
+        # (due, pattern, payload): the payload is the windowed slot whose
+        # dead messages the timer drops, or () for a pure time flip (negation
+        # clearance or debounce expiry).  Timers due together fire in one
+        # cycle, in any order
         self._timers: list[tuple] = []
-        self._timer_ids = count()
         # per message type: the greatest age at which its messages are live
         self._bounds = expiry_bounds(compiled, lifetime_ms)
         # (due, pattern, slot): a message in the slot dies at due, before
@@ -143,10 +144,9 @@ class Network:
         self._diagnosed: list[bool] = [False] * len(compiled.patterns)
         # per pattern: whether every alternative is delta (see _eval_pass)
         self._all_delta = [all(a.delta for a in p.alternatives) for p in compiled.patterns]
-        # per pattern: its _slot_callbacks, built on its first use
-        self._callbacks: list[tuple | None] = [None] * len(compiled.patterns)
-        # [the clock of the current evaluation], for the slot callbacks
+        # [the clock of the current evaluation], for the slot views
         self._now = [0]
+        self._views = _slot_views(self.buffers, self.blockers, self.index, self._now)
         # per routed alpha node (by id): its _route_plan, built on the node's
         # first message
         self._routes: dict[int, tuple] = {}
@@ -200,7 +200,7 @@ class Network:
                     else:
                         bucket.append(msg)
                 for delay, payload in timers:
-                    heappush(self._timers, (ts + delay, p_idx, next(self._timer_ids), payload))
+                    heappush(self._timers, (ts + delay, p_idx, payload))
                 if death is not None:
                     heappush(self._expiries, (ts + death, p_idx, slot))
                 agenda.add(p_idx)
@@ -220,7 +220,7 @@ class Network:
             timers = [] if cons.window_ms is None else [(cons.window_ms, slot)]
             if not cons.negated:
                 timers += [
-                    (neg.window_ms, None)
+                    (neg.window_ms, ())
                     for neg in self.cp.patterns[p_idx].alternatives[a_idx].negatives
                     if neg.window_ms is not None
                 ]
@@ -241,8 +241,8 @@ class Network:
         while timers and timers[0][0] <= upto:
             due = timers[0][0]
             while timers and timers[0][0] == due:
-                _, p_idx, _, slot = heappop(timers)
-                if slot is None:
+                _, p_idx, slot = heappop(timers)
+                if not slot:
                     # a pure time flip: the pattern must be re-examined even
                     # though no buffer content moved
                     agenda.add(p_idx)
@@ -283,7 +283,7 @@ class Network:
         if not agenda:
             return out
         patterns = self.cp.patterns
-        callbacks = self._callbacks
+        get_candidates, lookup = self._views
         buffers = self.buffers
         index = self.index
         for p_idx in sorted(agenda) if len(agenda) > 1 else list(agenda):
@@ -304,9 +304,7 @@ class Network:
                         break
                     continue
                 for cons in alt.positives:
-                    buf = buffers.get(cons.slot, _EMPTY)
-                    settle = cons.settle_ms
-                    if len(buf) < cons.min_group or settle is not None and buf[0].ts > now - settle:
+                    if len(get_candidates(cons)) < cons.min_group:
                         break
                 else:
                     break
@@ -317,7 +315,6 @@ class Network:
                 agenda.discard(p_idx)
                 continue
 
-            get_candidates, lookup = callbacks[p_idx] or self._slot_callbacks(cp)
             outcome = evaluate_pattern(
                 cp, get_candidates, now, self.cycle, lookup, watermark[p_idx]
             )
@@ -338,39 +335,6 @@ class Network:
                 diagnosed[p_idx] = False
                 watermark[p_idx] = None if outcome.guard_failed else self.last_seq
         return out
-
-    def _slot_callbacks(self, cp: CompiledPattern):
-        """The decision procedure's view of one pattern's slots at the
-        current clock: (get_candidates, lookup), where lookup is None unless
-        some constituent is keyed; built once per pattern.
-
-        They read the slots as they are: a cycle drops every dead message
-        before it evaluates.  A plain positive beside windowed negatives
-        yields only its messages at least ``settle_ms`` old, the only ones
-        that can join a valid combination yet; a negated slot has no
-        ``settle_ms``."""
-        index = self.index
-        clock = self._now
-        # per alternative, per constituent: (store, slot, settle)
-        views = [
-            [(self.blockers if c.negated else self.buffers, c.slot, c.settle_ms)
-             for c in alt.constituents]
-            for alt in cp.alternatives
-        ]
-
-        def get_candidates(a_idx, c_idx):
-            store, slot, settle = views[a_idx][c_idx]
-            buf = store.get(slot, _EMPTY)
-            return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
-
-        def lookup(a_idx, c_idx, key):
-            _, slot, settle = views[a_idx][c_idx]
-            bucket = index.get(slot, _NO_INDEX).get(key, _EMPTY)
-            return bucket if settle is None else _settled(bucket, clock[0] - settle)
-
-        keyed = any(c.join_key for alt in cp.alternatives for c in alt.constituents)
-        built = self._callbacks[cp.index] = (get_candidates, lookup if keyed else None)
-        return built
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
@@ -400,7 +364,7 @@ class Network:
         # the watermark stays: removing messages creates no combination
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:
-            heappush(self._timers, (result.at + cp.debounce_ms + 1, p_idx, next(self._timer_ids), None))
+            heappush(self._timers, (result.at + cp.debounce_ms + 1, p_idx, ()))
 
     # -- garbage collection -----------------------------------------------------
 
@@ -464,6 +428,28 @@ def _partnered_arrival(alt, buffers, index, watermark: int) -> bool:
             else:
                 return True
     return False
+
+
+def _slot_views(buffers, blockers, index, clock):
+    """The decision procedure's view of every slot at ``clock[0]``:
+    (get_candidates, lookup), each addressing a slot by its constituent.
+
+    They read the slots as they are: a cycle drops every dead message before
+    it evaluates.  A plain positive beside windowed negatives yields only its
+    messages at least ``settle_ms`` old, the only ones that can join a valid
+    combination yet; a negated slot has no ``settle_ms``."""
+
+    def get_candidates(cons):
+        buf = (blockers if cons.negated else buffers).get(cons.slot, _EMPTY)
+        settle = cons.settle_ms
+        return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
+
+    def lookup(cons, key):
+        bucket = index.get(cons.slot, _NO_INDEX).get(key, _EMPTY)
+        settle = cons.settle_ms
+        return bucket if settle is None else _settled(bucket, clock[0] - settle)
+
+    return get_candidates, lookup
 
 
 def _settled(msgs: list[Message], upto: int) -> list[Message]:

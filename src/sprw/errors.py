@@ -22,20 +22,20 @@ class ParseError(SprwError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-class ExpandError(SprwError):
+class CodedError(SprwError):
+    """An error whose message starts with its ``code``."""
+
+    def __init__(self, code: str, message: str):
+        self.code = code
+        super().__init__(f"{code}: {message}")
+
+
+class ExpandError(CodedError):
     """Named-pattern expansion failure (unknown ref, alias collision, ...)."""
 
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
-
-class CompileError(SprwError):
+class CompileError(CodedError):
     """Program cannot be turned into a discrimination network."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
 
 class TimeRegression(SprwError):
@@ -47,24 +47,16 @@ class TimeRegression(SprwError):
         super().__init__(f"time regression: {ts} < {clock}")
 
 
-class EvalError(SprwError):
+class EvalError(CodedError):
     """Guard/transformer evaluation failure.
 
     Never escapes the engine: evaluation errors become diagnostics and the
     enclosing pattern evaluation fails without consuming messages.
     """
 
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
-
-class ActorError(SprwError):
+class ActorError(CodedError):
     """Reaction-binding misuse (unknown pattern / unknown reaction label)."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
 
 class TraceError(SprwError):

@@ -133,11 +133,12 @@ def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
     """Compile an expression to a closure over an environment.
 
     Deterministic and side-effect free.  ``and``/``or`` short-circuit and
-    require booleans; comparison operators promote int to float; symbols
-    compare only with ``==``/``!=``; division always yields a float.  An
-    arithmetic result that is not a finite float or an int of at most 4,300
-    digits is an error.  Operands are evaluated left to right, and every
-    error is raised where the evaluation reaches it, never at compile time.
+    require booleans; comparisons take an int and a float by exact value, as
+    Python does; symbols compare only with ``==``/``!=``; division always
+    yields a float.  An arithmetic result that is not a finite float or an
+    int of at most 4,300 digits is an error.  Operands are evaluated left to
+    right, and every error is raised where the evaluation reaches it, never
+    at compile time.
     """
     if isinstance(expr, Lit):
         value = expr.value
@@ -187,7 +188,7 @@ def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
             lv = left(env)
             rv = right(env)
             if _numbers(lv, rv):
-                return (float(lv) == float(rv)) is want
+                return (lv == rv) is want
             return values_equal(lv, rv) is want
 
         return equality

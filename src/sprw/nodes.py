@@ -54,10 +54,6 @@ class Selector:
     type_tag: Symbol
     terms: tuple[Term, ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.terms)
-
 
 # --------------------------------------------------------------------------
 # guard / transformer expressions

@@ -122,17 +122,17 @@ def oracle_run(
     def eval_all(now: int) -> None:
         nonlocal cycle
         cycle += 1
+
+        def get_candidates(cons):
+            slot = cons.slot
+            return live_slice(slot, now, None if cons.negated else consumed[slot[0]])
+
         for cp in compiled.patterns:
             p_idx = cp.index
             if cp.debounce_ms is not None:
                 last = last_activation[p_idx]
                 if last is not None and now - last <= cp.debounce_ms:
                     continue
-
-            def get_candidates(a_idx, c_idx, _p=p_idx, _cp=cp):
-                skip = None if _cp.alternatives[a_idx].constituents[c_idx].negated else consumed[_p]
-                return live_slice((_p, a_idx, c_idx), now, skip)
-
             outcome = evaluate_pattern(cp, get_candidates, now, cycle)
             if outcome.diagnostics and not diagnosed[p_idx]:
                 out.diagnostics.extend(outcome.diagnostics)

@@ -38,6 +38,7 @@ from .nodes import (
     VarRef,
     Window,
 )
+from .parser import _BINARY_PREC, _NOT_PREC
 from .values import Duration, Symbol, Value
 
 
@@ -56,15 +57,6 @@ def duration_text(d: Duration) -> str:
     return f"{{{d.amount}, :{d.unit}}}"
 
 
-# expression precedence: or < and < not < comparison < additive < multiplicative
-_PREC = {
-    "or": 1, "and": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-}
-
-
 def expr_text(e: Expr) -> str:
     return _expr(e)[0]
 
@@ -76,10 +68,10 @@ def _expr(e: Expr) -> tuple[str, int]:
         return e.name, 7
     if isinstance(e, NotOp):
         inner, prec = _expr(e.operand)
-        if prec < 3:
+        if prec < _NOT_PREC:
             inner = f"({inner})"
-        return f"not {inner}", 3
-    prec = _PREC[e.op]
+        return f"not {inner}", _NOT_PREC
+    prec = _BINARY_PREC[e.op]
     left, lp = _expr(e.left)
     right, rp = _expr(e.right)
     if lp < prec:

@@ -3,7 +3,7 @@
 Attribute values are plain Python ``int``/``float``/``str``/``bool`` plus the
 interned-identifier :class:`Symbol`.  Structural equality is deliberately
 stricter than Python ``==``: ints and floats never compare equal, and bools
-are not ints.  Guard evaluation has its own promoting comparison; everything
+are not ints.  Guard evaluation has its own numeric comparison; everything
 that feeds unification or distinctness must go through :func:`values_equal`.
 """
 

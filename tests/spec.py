@@ -55,7 +55,7 @@ def guard_no_consume(monkeypatch) -> list[tuple[str, bool]]:
     """Wrap ``sprw.engine.evaluate_pattern`` for the life of ``monkeypatch``.
 
     For every engine evaluation whose guard rejects, the message ids that
-    ``get_candidates(a, c)`` yields for every constituent must be the same
+    ``get_candidates(cons)`` yields for every constituent must be the same
     before and after the call.  Returns the list the wrapper appends
     (pattern name, whether they were) to at each such evaluation."""
     rejections: list[tuple[str, bool]] = []
@@ -63,8 +63,8 @@ def guard_no_consume(monkeypatch) -> list[tuple[str, bool]]:
 
     def live_ids(cp, get_candidates):
         return [
-            [m.id for m in get_candidates(a_idx, cons.cons_index)]
-            for a_idx, alt in enumerate(cp.alternatives)
+            [m.id for m in get_candidates(cons)]
+            for alt in cp.alternatives
             for cons in alt.constituents
         ]
 

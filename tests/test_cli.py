@@ -111,6 +111,18 @@ def test_run_diagnostics_exit_3(tmp_path):
     assert "TypeMismatch" in r.stderr
 
 
+def test_int_past_float_range_compares_with_a_float(tmp_path):
+    pats = tmp_path / "p.sprw"
+    pats.write_text("pattern p as {:a, x} when x == 1.5\npattern q as {:a, x} when x != 1.5\n")
+    trace = tmp_path / "t.jsonl"
+    huge = "9" * 400  # fits no double
+    trace.write_text(f'{{"ts": 0, "type": ":a", "attrs": [{huge}]}}\n')
+    r = run_cli("run", "--patterns", str(pats), "--trace", str(trace))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ('{"at":0,"pattern":"q","reaction":null,"messageIds":[1],'
+                        f'"bindings":{{"x":{huge}}},"intermediates":{{}}}}\n')
+
+
 @pytest.mark.parametrize("value", [
     "7" * 4000,  # the product has 8,000 digits: past record_line's limit
     "1e200",  # the product is inf, which JSON cannot hold

@@ -142,6 +142,17 @@ class TestEval:
         assert eval_expr(BinOp("==", Lit(1), Lit(1.0)), {}) is True
         assert eval_expr(BinOp("<", Lit(1), Lit(1.5)), {}) is True
 
+    @pytest.mark.parametrize("op, x, y, want", [
+        ("==", 10 ** 400, 1.5, False),  # the int fits no double
+        ("!=", 10 ** 400, 1.5, True),
+        ("==", 2 ** 53, 2 ** 53 + 1, False),  # both round to one double
+        ("!=", 2 ** 53, 2 ** 53 + 1, True),
+        ("==", 2 ** 53 + 1, float(2 ** 53), False),
+        ("==", 2 ** 53, float(2 ** 53), True),
+    ], ids=["huge-eq", "huge-ne", "ints-eq", "ints-ne", "int-float-eq", "equal"])
+    def test_int_and_float_compare_exactly(self, op, x, y, want):
+        assert eval_expr(BinOp(op, VarRef("x"), VarRef("y")), {"x": x, "y": y}) is want
+
     def test_short_circuit_avoids_errors(self):
         e = BinOp("or", Lit(True), BinOp("/", Lit(1), Lit(0)))
         assert eval_expr(e, {}) is True
@@ -195,8 +206,8 @@ def compiled_pattern(text):
 def run_selection(cp, buffers, now, blockers=None):
     slots = {**buffers, **(blockers or {})}  # keyed by cons_index
 
-    def get_candidates(a, c):
-        return slots.get(c, [])
+    def get_candidates(cons):
+        return slots.get(cons.cons_index, [])
 
     return evaluate_pattern(cp, get_candidates, now)
 
