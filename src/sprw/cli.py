@@ -20,21 +20,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from collections.abc import Iterator
 
 from .actor import deliver, spawn, step
 from .compile import compile_program
-from .errors import SprwError
+from .errors import ParseError, SprwError
 from .expand import expand
 from .fuzz import differential, run_case
 from .fuzzgen import OP_GRID, generate_case
 from .nodes import Program, Selector, Var
-from .parser import parse_program
+from .parser import Parser, parse_program
 from .printer import pattern_text
 from .tracefile import AdvanceEvent, MessageEvent, decode_lines, file_lines, record_line
-from .values import Duration, TIME_UNITS
 
 
 def main(argv=None) -> int:
@@ -57,10 +55,9 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--lifetime")
 
     p_fuzz = sub.add_parser("fuzz", help="random differential testing")
-    p_fuzz.add_argument("--count", type=int, default=200)
-    p_fuzz.add_argument("--events", type=int, default=120)
-    p_fuzz.add_argument("--seed", type=int,
-                        default=int(os.environ.get("SPRW_SEED", "0")))
+    p_fuzz.add_argument("--count", type=positive_int, default=200)
+    p_fuzz.add_argument("--events", type=positive_int, default=120)
+    p_fuzz.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     try:
@@ -76,29 +73,46 @@ def main(argv=None) -> int:
         return 2
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a positive integer."""
+    if int(text) <= 0:
+        raise ValueError(text)
+    return int(text)
+
+
+@contextlib.contextmanager
+def _opened(path: str, mode: str = "r"):
+    """``path`` opened as UTF-8 text; an SprwError if it cannot be read or written."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeError) as err:
+        verb = "write" if mode == "w" else "read"
+        raise SprwError(f"cannot {verb} {path}: {getattr(err, 'strerror', None) or err}") from None
+
+
 def _load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
+    with _opened(path) as fh:
         return parse_program(fh.read())
 
 
 def _trace_events(path: str) -> Iterator:
-    with open(path, encoding="utf-8") as fh:
+    with _opened(path) as fh:
         yield from decode_lines(file_lines(fh))
 
 
 def parse_lifetime(text: str | None) -> int | None:
+    """``--lifetime`` in ms: an integer of ms or a duration literal."""
     if text is None:
         return None
-    text = text.strip()
-    if text.isdigit():
-        return int(text)
-    if text.startswith("{") and text.endswith("}"):
-        inner = text[1:-1]
-        amount_s, _, unit_s = inner.partition(",")
-        unit = unit_s.strip().lstrip(":")
-        if amount_s.strip().isdigit() and unit in TIME_UNITS:
-            return Duration(int(amount_s.strip()), unit).ms
-    raise SprwError(f"cannot parse lifetime {text!r} (use ms or '{{2, :mins}}')")
+    try:
+        parser = Parser(text)
+        ms = parser.parse_int() if parser.kinds[0] == "INT" else parser.parse_time().ms
+        parser.expect("EOF")
+    except ParseError:
+        text = text.strip()
+        raise SprwError(f"cannot parse lifetime {text!r} (use ms or '{{2, :mins}}')") from None
+    return ms
 
 
 def run_records(program: Program, events, lifetime_ms: int | None = None):
@@ -137,8 +151,7 @@ def _cmd_run(args) -> int:
     lifetime = parse_lifetime(args.lifetime)
     cell = spawn(program, lifetime_ms=lifetime)
     _warn_unrouted(cell.compiled, types)
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with _opened(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         for line in replay(cell, _trace_events(args.trace)):
             out.write(line + "\n")
     diagnostics = _diagnostics(cell)

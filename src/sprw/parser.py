@@ -128,19 +128,9 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """A STRING token's value: its body with each escape pair the lexer reads
+    replaced, ``\\n`` by a newline, ``\\t`` by a tab and ``\\x`` by ``x``."""
+    return re.sub(r"\\(.)", lambda m: {"n": "\n", "t": "\t"}.get(m[1], m[1]), raw[1:-1])
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +172,28 @@ class Parser:
         pos = self.pos
         if self.kinds[pos] != kind:
             self.fail(f"expected {kind!r}, got {self.texts[pos] or 'end-of-input'!r}", {kind})
-        self.pos = pos + 1  # no production expects EOF
+        self.pos = pos + 1  # EOF is expected only at the end, before the second EOF
         return self.texts[pos]
+
+    def items(self, open: str, parse_item, close: str) -> list:
+        """``open item ("," item)* close``, each item read by ``parse_item``."""
+        self.expect(open)
+        out = [parse_item()]
+        while self.kinds[self.pos] == ",":
+            self.advance()
+            out.append(parse_item())
+        self.expect(close)
+        return out
+
+    def key(self, keys: tuple[str, ...], message: str) -> str:
+        """Consume one of ``keys`` and the ':' after it.  Any other token is
+        an error, ``message`` formatted with its text and the valid keys."""
+        key = self.texts[self.pos]
+        if self.kinds[self.pos] != "IDENT" or key not in keys:
+            self.fail(message.format(key, ", ".join(keys)), set(keys))
+        self.advance()
+        self.expect(":")
+        return key
 
     def error(self, message: str, pos: int, expected=(), code: str = "SyntaxError") -> ParseError:
         """A ParseError positioned at token ``pos``."""
@@ -290,7 +300,7 @@ class Parser:
         operators = []
         seen_kinds: set[type] = set()
         while self.kinds[self.pos] == "[":
-            for op in self.parse_operator_group():
+            for op in self.items("[", self.parse_operator, "]"):
                 if type(op) in seen_kinds:
                     self.fail(f"duplicate operator {type(op).__name__.lower()!r}")
                 seen_kinds.add(type(op))
@@ -318,7 +328,7 @@ class Parser:
             name = self.advance()
             refinements = []
             while self.kinds[self.pos] == "{":
-                refinements.extend(self.parse_refinement_group())
+                refinements.extend(self.items("{", self.parse_refinement, "}"))
             return NamedRef(name, tuple(refinements))
         self.fail(f"expected selector, got {self.texts[self.pos] or 'end-of-input'!r}",
                   {"{", "IDENT"})
@@ -382,15 +392,6 @@ class Parser:
             raise self.error("float literal too large", start)
         return value
 
-    def parse_refinement_group(self):
-        self.expect("{")
-        out = [self.parse_refinement()]
-        while self.kinds[self.pos] == ",":
-            self.advance()
-            out.append(self.parse_refinement())
-        self.expect("}")
-        return out
-
     def parse_refinement(self):
         if self.kinds[self.pos] in ("@", "!"):
             marker = self.advance()
@@ -409,25 +410,8 @@ class Parser:
 
     # -- operators, transformers, options ------------------------------------
 
-    def parse_operator_group(self):
-        self.expect("[")
-        ops = [self.parse_operator()]
-        while self.kinds[self.pos] == ",":
-            self.advance()
-            ops.append(self.parse_operator())
-        self.expect("]")
-        return ops
-
     def parse_operator(self):
-        key = self.texts[self.pos]
-        if self.kinds[self.pos] != "IDENT" or key not in _OPERATOR_KEYS:
-            self.fail(
-                f"expected operator name, got {key!r} "
-                f"(valid operators: {', '.join(_OPERATOR_KEYS)})",
-                set(_OPERATOR_KEYS),
-            )
-        self.advance()
-        self.expect(":")
+        key = self.key(_OPERATOR_KEYS, "expected operator name, got {!r} (valid operators: {})")
         if key in ("window", "debounce"):
             dur = self.parse_time()
             return Window(dur) if key == "window" else Debounce(dur)
@@ -475,12 +459,7 @@ class Parser:
     def parse_fold_fn(self) -> FoldFn:
         self.expect("fn")
         self.expect("(")
-        self.expect("{")
-        params: list[str | None] = [self.parse_fold_param()]
-        while self.kinds[self.pos] == ",":
-            self.advance()
-            params.append(self.parse_fold_param())
-        self.expect("}")
+        params = self.items("{", self.parse_fold_param, "}")
         self.expect(",")
         acc = self.expect("IDENT")
         self.expect(")")
@@ -494,35 +473,12 @@ class Parser:
         return None if name == "_" else name
 
     def parse_options(self) -> Options:
-        self.expect("[")
-        seq = False
-        last = False
-        interval = None
-        debounce = None
-        while True:
-            key = self.texts[self.pos]
-            if self.kinds[self.pos] != "IDENT" or key not in _OPTION_KEYS:
-                self.fail(
-                    f"unknown option {key!r} "
-                    f"(valid options: {', '.join(_OPTION_KEYS)})",
-                    set(_OPTION_KEYS),
-                )
-            self.advance()
-            self.expect(":")
-            if key == "seq":
-                seq = self.parse_bool()
-            elif key == "last":
-                last = self.parse_bool()
-            elif key == "interval":
-                interval = self.parse_time()
-            else:
-                debounce = self.parse_time()
-            if self.kinds[self.pos] == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
-        return Options(seq=seq, interval=interval, last=last, debounce=debounce)
+        # a repeated key keeps its last value
+        return Options(**dict(self.items("[", self.parse_option, "]")))
+
+    def parse_option(self) -> tuple:
+        key = self.key(_OPTION_KEYS, "unknown option {!r} (valid options: {})")
+        return key, self.parse_bool() if key in ("seq", "last") else self.parse_time()
 
     def parse_bool(self) -> bool:
         if self.kinds[self.pos] in ("true", "false"):

@@ -222,6 +222,82 @@ def test_run_bad_trace_writes_no_record(tmp_path):
     assert not out.exists()
 
 
+UNREADABLE = {
+    "missing": "No such file or directory",
+    "directory": "Is a directory",
+    "not UTF-8": "'utf-8' codec can't decode byte 0xff in position 58: invalid start byte",
+}
+
+
+def unreadable_file(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1"
+    path.write_bytes(b'{"ts": 0, "type": ":a", "attrs": [1]}\n{"ts": 1, "type": ":\xff", "attrs": []}\n')
+    return path
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("command,option", [
+    ("run", "--patterns"), ("run", "--trace"), ("check", "--patterns"),
+    ("oracle", "--patterns"), ("oracle", "--trace"),
+])
+def test_unreadable_input_exit_2(tmp_path, capsys, command, option, kind):
+    path = unreadable_file(tmp_path, kind)
+    files = {"--patterns": str(fixture_path("scenario6.sprw")),
+             "--trace": str(fixture_path("scenario6.trace.jsonl")), option: str(path)}
+    if command == "check":
+        del files["--trace"]
+    assert cli.main([command, *(arg for item in files.items() for arg in item)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: {UNREADABLE[kind]}\n")
+
+
+def test_run_unreadable_trace_writes_no_record(tmp_path, capsys):
+    # the trace's first line fires `p`; its second is not UTF-8
+    patterns = tmp_path / "p.sprw"
+    patterns.write_text("pattern p as {:a, x}\n")
+    trace = unreadable_file(tmp_path, "not UTF-8")
+    out = tmp_path / "out.jsonl"
+    for extra in ((), ("--out", str(out))):
+        assert cli.main(["run", "--patterns", str(patterns), "--trace", str(trace), *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {trace}: {UNREADABLE['not UTF-8']}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("directory", "Is a directory"), ("missing/out.jsonl", "No such file or directory"),
+])
+def test_run_unwritable_out_exit_2(tmp_path, capsys, where, reason):
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / where
+    code = cli.main(["run", "--patterns", str(fixture_path("scenario6.sprw")),
+                     "--trace", str(fixture_path("scenario6.trace.jsonl")), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: cannot write {out}: {reason}\n")
+
+
+@pytest.mark.parametrize("text,ms", [
+    ("7", 7), (" 7 ", 7), ("0", 0), ("{1, :hours}", 3_600_000), ("{2,:mins}", 120_000), ("٣", 3),
+])
+def test_lifetime_accepted(text, ms):
+    assert cli.parse_lifetime(text) == ms
+
+
+@pytest.mark.parametrize("text", [
+    "²", "{², :secs}", pytest.param("9" * 5000, id="5000 nines"), "-5", "{0, :secs}", "{2, mins}",
+    "{1, :hours} x",
+])
+def test_lifetime_rejected_exit_2(capsys, text):
+    # a lifetime is read as the pattern language reads an integer or a duration
+    code = cli.main(["run", "--patterns", str(fixture_path("scenario6.sprw")),
+                     "--trace", str(fixture_path("scenario6.trace.jsonl")), "--lifetime", text])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"error: cannot parse lifetime {text.strip()!r} (use ms or '{{2, :mins}}')\n"))
+
+
 def test_run_stderr_order_unrouted_retention_diagnostics(tmp_path):
     patterns = tmp_path / "p.sprw"
     patterns.write_text("pattern p as {:a, x} when x > :oops\n")
@@ -402,6 +478,16 @@ def test_fuzz_subcommand_smoke():
     r = run_cli("fuzz", "--count", "8", "--events", "60", "--seed", "99")
     assert r.returncode == 0, r.stderr
     assert "ok: 8 cases identical" in r.stdout
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--count", "-3"), ("--count", "0"), ("--events", "0"), ("--events", "x"),
+])
+def test_fuzz_counts_must_be_positive(capsys, option, value):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["fuzz", option, value])
+    assert exit_.value.code == 2
+    assert f"argument {option}: invalid positive_int value: '{value}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("i", range(1, 8))

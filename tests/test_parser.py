@@ -14,6 +14,7 @@ from sprw.nodes import (
     Fold,
     InlineGuard,
     NamedRef,
+    Options,
     OrGroup,
     Selector,
     Var,
@@ -83,6 +84,12 @@ def test_unknown_option_lists_valid_ones():
     message = str(err.value)
     for key in ("seq", "interval", "last", "debounce"):
         assert key in message
+
+
+def test_a_repeated_option_keeps_its_last_value():
+    p = only_pattern("pattern p as {:a, x}, options: "
+                     "[seq: true, interval: {1, :secs}, seq: false, interval: {2, :mins}]")
+    assert p.options == Options(seq=False, interval=Duration(2, "mins"))
 
 
 def test_unknown_time_unit():
@@ -219,6 +226,10 @@ def test_grammar_production_coverage():
 
 
 VALUE_KINDS = ["FLOAT", "INT", "STRING", "SYMBOL", "false", "true"]
+OPERATOR_KEYS = ["count", "debounce", "every", "window"]
+VALID_OPERATORS = "(valid operators: window, debounce, every, count)"
+OPTION_KEYS = ["debounce", "interval", "last", "seq"]
+VALID_OPTIONS = "(valid options: seq, interval, last, debounce)"
 
 # source, message, line, column, code, expected
 ERROR_SNAPSHOTS = [
@@ -278,6 +289,28 @@ ERROR_SNAPSHOTS = [
     ("pattern p as {:a, x}, options: [seq: maybe]",
      "expected boolean, got 'maybe'", 1, 38, "SyntaxError", ["false", "true"]),
     ("react_to p with: emit(x)", "expected ',', got 'with'", 1, 12, "SyntaxError", [","]),
+    # bracketed comma lists and operator or option names: a misspelt name, a
+    # trailing comma, an empty list, a list left open, and a bad entry
+    ("pattern p as {:a, x}[windw: {1, :secs}]",
+     "expected operator name, got 'windw' " + VALID_OPERATORS, 1, 22, "SyntaxError", OPERATOR_KEYS),
+    ("pattern p as {:a, x}[count: 2,]",
+     "expected operator name, got ']' " + VALID_OPERATORS, 1, 31, "SyntaxError", OPERATOR_KEYS),
+    ("pattern p as {:a, x}, options: [seq: true,]",
+     "unknown option ']' " + VALID_OPTIONS, 1, 43, "SyntaxError", OPTION_KEYS),
+    ("pattern p as q{x = 1,}", "expected 'IDENT', got '}'", 1, 22, "SyntaxError", ["IDENT"]),
+    ("pattern p as {:a, v} |> fold(0, fn({_, v,}, acc) -> acc end)",
+     "expected 'IDENT', got '}'", 1, 42, "SyntaxError", ["IDENT"]),
+    ("pattern p as {:a, x}[]",
+     "expected operator name, got ']' " + VALID_OPERATORS, 1, 22, "SyntaxError", OPERATOR_KEYS),
+    ("pattern p as {:a, x}, options: []",
+     "unknown option ']' " + VALID_OPTIONS, 1, 33, "SyntaxError", OPTION_KEYS),
+    ("pattern p as q{}", "expected 'IDENT', got '}'", 1, 16, "SyntaxError", ["IDENT"]),
+    ("pattern p as {:a, v} |> fold(0, fn({}, acc) -> acc end)",
+     "expected 'IDENT', got '}'", 1, 37, "SyntaxError", ["IDENT"]),
+    ("pattern p as {:a, x}[count: 2", "expected ']', got 'end-of-input'", 1, 30, "SyntaxError", ["]"]),
+    ("pattern p as q{x}", "expected refinement operator after 'x'", 1, 17, "SyntaxError", ["=", "~>"]),
+    ("pattern p as {:a, x}, options: [interval: 3]",
+     "expected '{', got '3'", 1, 43, "SyntaxError", ["{"]),
 ]
 
 
@@ -288,3 +321,14 @@ def test_parse_error_snapshot(source, message, line, column, code, expected):
     assert str(err.value) == f"{line}:{column}: {message}"
     assert (err.value.line, err.value.column, err.value.code) == (line, column, code)
     assert err.value.expected == frozenset(expected)
+
+
+@pytest.mark.parametrize("text,value", [
+    ('"a\\qb\\n"', "aqb\n"),
+    ('"\\t\\"\\\\"', '\t"\\'),
+    ('"plain"', "plain"),
+    ("-7", -7),
+    (":sym", Symbol("sym")),
+])
+def test_parse_value(text, value):
+    assert first_leaf(only_pattern(f"pattern p as {{:a, {text}}}")).base.terms == (Const(value),)
