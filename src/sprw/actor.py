@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .compile import CompiledProgram, compile_program
 from .errors import ActorError
@@ -39,13 +39,8 @@ class ReactionRef:
     label: str
     fn: Callable | None = None  # None = emit record
 
-    @property
-    def is_emit(self) -> bool:
-        return self.fn is None
 
-
-@dataclass(frozen=True, slots=True)
-class FiredReaction:
+class FiredReaction(NamedTuple):
     label: str
     match: MatchResult
     state_before: Any
@@ -162,7 +157,7 @@ def step(cell: ActorCell, now: int) -> list[FiredReaction]:
                 continue
             for ref in refs:
                 before = cell.state
-                if ref.is_emit:
+                if ref.fn is None:  # an emit reaction
                     cell.outputs.append(output_record(match, ref.label))
                     after = before
                 else:

@@ -14,12 +14,15 @@ harness never reads the wall clock.
 the message types it names, and then decodes it again line by line, writing
 each record as it fires.  Its memory does not grow with the trace, and a
 trace that fails to decode writes no record and creates no ``--out`` file.
+An ``--out`` that is the ``--patterns`` or ``--trace`` file is refused
+before anything is opened for writing.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections.abc import Iterator
 
@@ -144,6 +147,11 @@ def _diagnostics(cell) -> list:
 
 
 def _cmd_run(args) -> int:
+    if args.out:  # opening --out for writing would empty an input before it is read
+        for option, path in (("--patterns", args.patterns), ("--trace", args.trace)):
+            with contextlib.suppress(OSError):  # either is missing: not the same file
+                if os.path.samefile(args.out, path):
+                    raise SprwError(f"--out {args.out} is the {option} file")
     program = _load_program(args.patterns)
     # the first pass fails on a bad trace before any record is written
     types = dict.fromkeys(ev.type_tag.name for ev in _trace_events(args.trace)

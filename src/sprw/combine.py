@@ -26,13 +26,16 @@ a join step's candidates, or a negation's blockers.  A ``watermark`` promises
 that no valid combination of messages with ``seq`` at or below it exists; on
 a delta alternative the same search then runs once per seed slot over the
 combinations holding a newer message, and the policy-least (or greatest) of
-their hits is the answer.
+their hits is the answer; their policy keys are built only once a second
+hit arrives.  A seed after the first position is unified before its search,
+for the positions before it to probe with, and not again at its own unless
+a ``!name`` term there must be checked against the messages before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .compile import CompiledAlternative, CompiledConstituent, CompiledPattern
 from .errors import EvalError
@@ -47,8 +50,7 @@ from .matching import (
 from .values import Value
 
 
-@dataclass(slots=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     result: MatchResult | None = None
     guard_failed: bool = False
     diagnostics: tuple[Diagnostic, ...] = ()
@@ -102,11 +104,11 @@ def evaluate_pattern(
                 diagnostics=(Diagnostic(err.code, cp.name, now, str(err)),)
             )
 
-        messages: list[Message] = []
+        messages: tuple[Message, ...] = ()
         for cons in alt.positives:
             messages += groups[cons.cons_index]
         # positional: the keyword form costs more per match
-        return EvalOutcome(MatchResult(cp.name, tuple(messages), env, intermediates, now, cycle))
+        return EvalOutcome(MatchResult(cp.name, messages, env, intermediates, now, cycle))
     return _NO_MATCH
 
 
@@ -119,9 +121,9 @@ def _select(
     watermark: int | None,
 ) -> tuple | None:
     """The policy-selected pre-guard combination: (groups, env), where groups
-    maps each positive's cons_index to its members, (ts, seq) ascending; or
-    None when there is none."""
-    groups: dict[int, list[Message]] = {}
+    maps each positive's cons_index to the tuple of its members, (ts, seq)
+    ascending; or None when there is none."""
+    groups: dict[int, tuple[Message, ...]] = {}
     used: set[int] = set()
     fixed = (cp, alt, get_candidates, now, lookup, groups, used)
     if watermark is None or lookup is None or not alt.delta:
@@ -132,7 +134,7 @@ def _select(
     # position holding one is its seed slot j, and searching each slot's new
     # messages as seeds finds each such combination exactly once.
     positives = alt.positives
-    best = best_key = None
+    best = None
     for j, cons in enumerate(positives):
         cands = get_candidates(cons)
         first_new = len(cands)
@@ -148,11 +150,13 @@ def _select(
             hit = _search(fixed + (j, (m,), watermark), 0, env, {}, None, None, None)
             if hit is None:
                 continue
-            key = tuple(groups[c.cons_index][0].seq for c in positives)
-            if best is None or (key > best_key if cp.last else key < best_key):
-                best = (dict(groups), hit)
-                best_key = key
             used.clear()
+            if best is not None:  # keep the policy-least (greatest) hit
+                key, best_key = (tuple([g[c.cons_index][0].seq for c in positives])
+                                 for g in (groups, best[0]))
+                if not (key > best_key if cp.last else key < best_key):
+                    continue
+            best = (dict(groups), hit)
     return best
 
 
@@ -161,8 +165,9 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     of the first complete combination, or None.  ``state`` is what stays
     fixed during one search; a delta search puts only its seed at position
     ``seed_at`` (-1 in a full search), and before it only messages at or
-    below ``watermark``.  The last position checks the negations itself, and
-    a failed branch leaves its stale group behind for the next to overwrite."""
+    below ``watermark``; a seed after position 0 is already unified into
+    ``env``.  The last position checks the negations itself, and a failed
+    branch leaves its stale group behind for the next to overwrite."""
     (cp, alt, get_candidates, now, lookup, groups, used,
      seed_at, seed, watermark) = state
     positives = alt.positives
@@ -173,7 +178,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
         cands = seed
     elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
         cands = lookup(cons, cons.probe_key(env))
-        if i < seed_at:
+        if i < seed_at and cands and cands[-1].seq > watermark:  # buckets ascend in seq
             cands = [m for m in cands if m.seq <= watermark]
     else:
         cands = get_candidates(cons)
@@ -200,10 +205,12 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
             used.difference_update(m.id for m in group)
         return hit
     bind_terms = cons.bind_terms
+    # only a ``!name`` term can reject a seed already unified into env
+    unify = i != seed_at or not i or cons.must_distinct
     for m in (reversed(cands) if cp.last else cands):
         if m.id in used:
             continue
-        r = extend_env(bind_terms, m, env, distinct)
+        r = extend_env(bind_terms, m, env, distinct) if unify else (env, distinct)
         if r is None:
             continue
         if ordered:
@@ -215,9 +222,9 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
                 alt, get_candidates, r[0], r[1], now, nmax, lookup
             ):
                 continue
-            groups[cons.cons_index] = [m]
+            groups[cons.cons_index] = (m,)
             return r[0]
-        groups[cons.cons_index] = [m]
+        groups[cons.cons_index] = (m,)
         used.add(m.id)
         hit = _search(state, i + 1, r[0], r[1], nkey, nmin, nmax)
         if hit is not None:
@@ -277,8 +284,7 @@ def _build_group(
             return None
     if not acc:
         return None
-    acc.sort(key=_TS_SEQ)
-    return acc, env, distinct
+    return tuple(sorted(acc, key=_TS_SEQ)), env, distinct
 
 
 def _negations_ok(alt, get_candidates, env, distinct, now, max_ts, lookup) -> bool:

@@ -48,6 +48,7 @@ class CompiledConstituent:
     # may-distinct terms impose nothing, so the join only walks these
     bind_terms: tuple[tuple[int, str, int], ...] = ()
     needs_local_check: bool = False  # selector repeats a variable name
+    must_distinct: bool = False  # selector has a ``!name`` term
     # age past which a buffered candidate provably cannot join any future
     # combination (pattern interval plus the tightest partner window)
     slot_bound_ms: int | None = None
@@ -241,6 +242,7 @@ def compile_program(program: Program) -> CompiledProgram:
                     count_n is not None or window_ms is not None,  # accumulates
                     tuple(bind_terms),
                     len(var_names) != len(set(var_names)),  # needs_local_check
+                    len(var_names) != len(bind_terms),  # must_distinct
                 )
                 constituents.append(cons)
                 spec = alphas.get(alpha_key)

@@ -75,6 +75,10 @@ narrows which candidates those are:
   positive's index, a necessary condition for a new combination.  A skip is
   a miss: it sets the watermark.
 
+A match consumes each of its messages, by type, from the routed positive
+slots of its pattern in every alternative: a per-pattern map from type name
+to those slots, filled as each is first routed, leads only to them.
+
 One pair of slot views, built with the Network, serves every pattern: each
 addresses a slot by its constituent, picks the store by ``negated`` and cuts
 to the settled prefix by ``settle_ms``.  The views read the clock from a
@@ -153,6 +157,8 @@ class Network:
         # per routed slot: (buffer, index, index key, death age, whether a
         # death there wakes the pattern); index and key are None if unkeyed
         self._slots: dict[tuple, tuple] = {}
+        # per pattern: type name -> its routed positive slots (buffer, index, key)
+        self._consumers: dict[int, dict[str, list[tuple]]] = {}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -211,7 +217,7 @@ class Network:
         index key, the timers (delay, payload) each message sets, the slot's
         death age unless its window's expiry timer announces it).  The timers
         are its window's expiry, and one negation clearance per windowed
-        negative beside a positive.  Records each slot in ``_slots``."""
+        negative beside a positive.  Fills ``_slots`` and ``_consumers``."""
         plan = []
         for p_idx, a_idx, cons in spec.targets:
             slot = cons.slot
@@ -228,6 +234,9 @@ class Network:
             keys = self.index.setdefault(slot, {}) if cons.join_key else None
             self._slots[slot] = (buf, keys, cons.attrs_key, death,
                                  bound is not None and death == bound + 1)
+            if not cons.negated:
+                self._consumers.setdefault(p_idx, {}).setdefault(
+                    cons.selector.type_tag.name, []).append((buf, keys, cons.attrs_key))
             plan.append((p_idx, slot, cons.needs_local_check and cons.bind_terms, buf, keys,
                          cons.attrs_key, tuple(timers),
                          None if death == cons.window_ms else death))
@@ -338,29 +347,20 @@ class Network:
 
     def _consume(self, cp: CompiledPattern, result: MatchResult) -> None:
         p_idx = cp.index
-        msgs = result.messages
-        slots = self._slots
-        for alt in cp.alternatives:
-            for cons in alt.positives:
-                routed = slots.get(cons.slot)
-                if routed is None or not routed[0]:
-                    continue
-                buf, keys, key_of, _, _ = routed
-                tag = cons.selector.type_tag.name
-                # buffers and buckets ascend in seq: find each message of the
-                # slot's type by bisection
-                for m in msgs:
-                    if m.type_tag.name != tag:
-                        continue
-                    i = bisect_left(buf, m.seq, key=_SEQ)
-                    if i < len(buf) and buf[i] is m:
-                        del buf[i]
-                        if key_of is not None:
-                            key = key_of(m.attrs)
-                            bucket = keys[key]
-                            del bucket[bisect_left(bucket, m.seq, key=_SEQ)]
-                            if not bucket:
-                                del keys[key]
+        consumers = self._consumers[p_idx]
+        for m in result.messages:
+            # every routed positive slot of the message's type may hold it;
+            # buffers and buckets ascend in seq, so bisection finds it
+            for buf, keys, key_of in consumers[m.type_tag.name]:
+                i = bisect_left(buf, m.seq, key=_SEQ)
+                if i < len(buf) and buf[i] is m:
+                    del buf[i]
+                    if key_of is not None:
+                        key = key_of(m.attrs)
+                        bucket = keys[key]
+                        del bucket[bisect_left(bucket, m.seq, key=_SEQ)]
+                        if not bucket:
+                            del keys[key]
         # the watermark stays: removing messages creates no combination
         self.last_activation[p_idx] = result.at
         if cp.debounce_ms is not None:

@@ -75,8 +75,8 @@ def extend_env(bind_terms, msg: Message, env, distinct):
                 if new_env is None:
                     new_env = dict(env)
                 new_env[name] = value
-            elif not values_equal(current, value):
-                return None
+            elif type(current) is not type(value) or current != value:
+                return None  # not values_equal(current, value), inlined
         else:
             seen = (new_distinct or distinct).get(name, ())
             if value_in(value, seen):

@@ -42,12 +42,6 @@ class AdvanceEvent(NamedTuple):
 TraceEvent = MessageEvent | AdvanceEvent
 
 
-def encode_value(v: Value):
-    if isinstance(v, Symbol):
-        return f":{v.name}"
-    return v
-
-
 # Lines are stripped, so a line is valid JSON exactly when raw_decode takes it
 # whole; it skips the argument checks and whitespace scans of json.loads
 _DECODER = json.JSONDecoder()
@@ -132,13 +126,23 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
 
 
 def output_record(match: MatchResult, reaction: str | None) -> dict:
+    """One fired reaction's record, a symbol written ``":name"``; loops, as
+    a comprehension costs a call."""
+    values = match.bindings
+    bindings = {}
+    for k in sorted(values):
+        v = values[k]
+        bindings[k] = f":{v.name}" if isinstance(v, Symbol) else v
+    intermediates = {}
+    for k, v in match.intermediates.items():
+        intermediates[k] = f":{v.name}" if isinstance(v, Symbol) else v
     return {
         "at": match.at,
         "pattern": match.pattern,
         "reaction": reaction,
         "messageIds": [m.id for m in match.messages],
-        "bindings": {k: encode_value(match.bindings[k]) for k in sorted(match.bindings)},
-        "intermediates": {k: encode_value(v) for k, v in match.intermediates.items()},
+        "bindings": bindings,
+        "intermediates": intermediates,
     }
 
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from sprw.actor import deliver, react_to, remove, remove_reactions, spawn, step
+from sprw.actor import FiredReaction, deliver, react_to, remove, remove_reactions, spawn, step
+from sprw.combine import EvalOutcome
 from sprw.errors import ActorError
 from sprw.values import Symbol
 
@@ -193,3 +194,20 @@ def test_carried_timestamp_wins_over_clock():
     deliver(cell, "a", (2,), None)  # live send: stamped at the actor clock
     step(cell, 1_000)
     assert [r["at"] for r in cell.outputs] == [500, 1_000]
+
+
+def test_fired_reactions_and_outcomes_are_immutable_named_records():
+    cell = spawn("pattern p as {:a, x}\n")
+    react_to(cell, "p", "count", lambda msgs, inter, state: state + 1)
+    cell.state = 0
+    deliver(cell, "a", (1,), 0)
+    (fired,) = step(cell, 0)
+    assert FiredReaction._fields == ("label", "match", "state_before", "state_after")
+    assert (fired.label, fired.match.pattern, fired.state_before, fired.state_after) == (
+        "count", "p", 0, 1)
+    assert EvalOutcome._fields == ("result", "guard_failed", "diagnostics")
+    outcome = EvalOutcome(fired.match)
+    assert (outcome.result, outcome.guard_failed, outcome.diagnostics) == (fired.match, False, ())
+    for record, field in ((fired, "label"), (outcome, "result"), (outcome, "guard_failed")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

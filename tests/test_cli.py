@@ -279,6 +279,26 @@ def test_run_unwritable_out_exit_2(tmp_path, capsys, where, reason):
     assert captured.err.endswith(f"error: cannot write {out}: {reason}\n")
 
 
+@pytest.mark.parametrize("option", ["--trace", "--patterns"])
+@pytest.mark.parametrize("linked", [False, True])
+def test_run_refuses_an_out_that_is_an_input(tmp_path, capsys, option, linked):
+    # writing the records over an input would empty it before it is read;
+    # a hard link names the same file by another path
+    files = {"--patterns": tmp_path / "p.sprw", "--trace": tmp_path / "t.jsonl"}
+    files["--patterns"].write_text("pattern p as {:a, x}\n")
+    files["--trace"].write_text('{"ts": 0, "type": ":a", "attrs": [1]}\n'
+                                '{"ts": 1, "type": ":a", "attrs": [2]}\n')
+    before = {name: path.read_bytes() for name, path in files.items()}
+    out = files[option]
+    if linked:
+        out = tmp_path / "link"
+        os.link(files[option], out)
+    code = cli.main(["run", *(str(arg) for item in files.items() for arg in item),
+                     "--out", str(out)])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: --out {out} is the {option} file\n"))
+    assert {name: path.read_bytes() for name, path in files.items()} == before
+
+
 @pytest.mark.parametrize("text,ms", [
     ("7", 7), (" 7 ", 7), ("0", 0), ("{1, :hours}", 3_600_000), ("{2,:mins}", 120_000), ("٣", 3),
 ])

@@ -128,6 +128,37 @@ class TestInsert:
         assert [(m.at, m.bindings["x"]) for m in leftover] == [(13_000, 2)]
 
 
+class TestConsume:
+    # a match consumes its messages from every slot of its pattern that holds
+    # them, in every alternative; each case is checked against the oracle
+
+    def replay(self, text, *events):
+        trace = [MessageEvent(ts, Symbol(tag), attrs) for tag, attrs, ts in events]
+        diff = differential(compile_program(expand(parse_program(text))), trace, None)
+        assert diff.divergence() == ""
+        return [(m.at, [x.id for x in m.messages]) for m in diff.engine_matches], diff.network
+
+    def test_a_consumed_message_leaves_the_other_alternatives(self):
+        # {:a, 1} waits in both alternatives' :a slots; once the first
+        # alternative consumes it at 10, the second has no :a for {:c, 1}
+        matches, net = self.replay(
+            "pattern p as {:a, x} and {:b, x} or {:a, x} and {:c, x}",
+            ("a", (1,), 0), ("b", (1,), 10), ("c", (1,), 20),
+        )
+        assert matches == [(10, [1, 2])]
+        assert net.buffered_total() == 1  # the {:c, 1}
+
+    def test_a_consumed_message_leaves_every_slot_of_its_type(self):
+        # every :a waits in both slots: the match at 10 takes ids 1 and 2 out
+        # of both, and id 3 waits in both with no partner
+        matches, net = self.replay(
+            "pattern p as {:a, x} and {:a, y}",
+            ("a", (1,), 0), ("a", (2,), 10), ("a", (3,), 20),
+        )
+        assert matches == [(10, [1, 2])]
+        assert net.buffered_total() == 2
+
+
 class TestAgenda:
     def test_lifetime_death_joins_the_next_cycle(self):
         # no timer announces a blocker's death under a lifetime: the pattern

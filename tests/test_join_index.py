@@ -296,6 +296,18 @@ def test_rare_side_join_cost_does_not_grow_with_buffered(monkeypatch):
     assert large_mk <= 2 * small_mk
 
 
+def test_a_completing_seed_is_unified_once(monkeypatch):
+    # {:c} and {:d} wait, each skipped by the readiness gate, so {:e} seeds a
+    # delta search at the last position: one unification of the seed before
+    # the search, one each for {:c} and {:d}, and none again for the seed
+    calls, matches = _calls_per_message(
+        monkeypatch, "pattern t as {:c, x, y} and {:d, x, y} and {:e, x, y}",
+        [("c", (1, 2)), ("d", (1, 2))], [("e", (1, 2))],
+    )
+    assert [[m.id for m in match.messages] for match in matches] == [[1, 2, 3]]
+    assert calls["extend_env"] == 3
+
+
 def test_anti_join_cost_does_not_grow_with_blockers(monkeypatch):
     # no blocker shares a key with an {:a}: the negation probes one empty
     # bucket of the blockers' index instead of unifying with each blocker
