@@ -57,7 +57,7 @@ class ActorCell:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     inbox: deque = field(default_factory=deque)
     _in_step: bool = False
-    _deferred: list = field(default_factory=list)
+    _deferred: list = field(default_factory=list)  # (function, args after the cell)
 
 
 def spawn(program: Program | str, initial_state: Any = None, lifetime_ms: int | None = None) -> ActorCell:
@@ -70,10 +70,7 @@ def spawn(program: Program | str, initial_state: Any = None, lifetime_ms: int | 
         program = parse_program(program)
     compiled = compile_program(expand(program))
     reactions: dict[str, list[ReactionRef]] = {}
-    names = {p.name for p in compiled.source.patterns}
-    for b in compiled.bindings:
-        if b.pattern not in names:
-            raise ActorError("UnknownPattern", f"react_to references {b.pattern!r}")
+    for b in compiled.bindings:  # expand has checked that each names a pattern
         reactions.setdefault(b.pattern, []).append(ReactionRef(b.label))
     return ActorCell(
         compiled=compiled,
@@ -86,7 +83,7 @@ def spawn(program: Program | str, initial_state: Any = None, lifetime_ms: int | 
 def react_to(cell: ActorCell, pattern_name: str, label: str, fn: Callable | None = None) -> None:
     """Bind one more reaction to a pattern (takes effect at the next match)."""
     if cell._in_step:
-        cell._deferred.append(("bind", pattern_name, label, fn))
+        cell._deferred.append((react_to, pattern_name, label, fn))
         return
     if cell.compiled.source.pattern_named(pattern_name) is None:
         raise ActorError("UnknownPattern", f"no pattern {pattern_name!r}")
@@ -99,7 +96,7 @@ def react_to(cell: ActorCell, pattern_name: str, label: str, fn: Callable | None
 def remove(cell: ActorCell, label: str, pattern_name: str) -> None:
     """Unbind one reaction; removing an absent label is an error, not a no-op."""
     if cell._in_step:
-        cell._deferred.append(("remove", pattern_name, label, None))
+        cell._deferred.append((remove, label, pattern_name))
         return
     if cell.compiled.source.pattern_named(pattern_name) is None:
         raise ActorError("UnknownPattern", f"no pattern {pattern_name!r}")
@@ -113,7 +110,7 @@ def remove(cell: ActorCell, label: str, pattern_name: str) -> None:
 
 def remove_reactions(cell: ActorCell, pattern_name: str) -> None:
     if cell._in_step:
-        cell._deferred.append(("clear", pattern_name, None, None))
+        cell._deferred.append((remove_reactions, pattern_name))
         return
     if cell.compiled.source.pattern_named(pattern_name) is None:
         raise ActorError("UnknownPattern", f"no pattern {pattern_name!r}")
@@ -177,10 +174,5 @@ def step(cell: ActorCell, now: int) -> list[FiredReaction]:
         deferred = cell._deferred
         if deferred:
             cell._deferred = []
-        for op, pattern_name, label, fn in deferred:
-            if op == "bind":
-                react_to(cell, pattern_name, label, fn)
-            elif op == "remove":
-                remove(cell, label, pattern_name)
-            else:
-                remove_reactions(cell, pattern_name)
+        for op, *args in deferred:
+            op(cell, *args)

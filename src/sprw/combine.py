@@ -12,24 +12,25 @@ module-level function over an explicit state tuple, not a closure, so an
 evaluation leaves no reference cycle: reference counting frees all of it.
 An alternative with one positive runs the same search, one step deep.
 
-The caller's slot views, which address a slot by its constituent, decide
-liveness: they yield only messages younger than their slot's
+The caller's one slot view, which addresses a slot by its constituent,
+decides liveness: it yields only messages younger than their slot's
 ``compile.death_age`` at the evaluation instant, so the search checks no
 retention, lifetime or window age.  It checks unification, ``seq``,
 ``interval`` and negation, and skips the ``seq``/``interval`` bookkeeping on
-an alternative with neither and no windowed negation.
+an alternative with neither and no windowed negation.  A join step on a
+keyed slot, or a negation there, passes the view the environment's join
+key, and the view may narrow to the slot's messages with that key: any
+superset of those that can unify gives the same result.
 
-Optional inputs, which only the engine passes, narrow the search without
-changing its result.  A ``lookup`` callback returns a keyed slot's messages
-whose join key equals the environment's, a superset of those that can unify:
-a join step's candidates, or a negation's blockers.  A ``watermark`` promises
-that no valid combination of messages with ``seq`` at or below it exists; on
-a delta alternative the same search then runs once per seed slot over the
-combinations holding a newer message, and the policy-least (or greatest) of
-their hits is the answer; their policy keys are built only once a second
-hit arrives.  A seed after the first position is unified before its search,
-for the positions before it to probe with, and not again at its own unless
-a ``!name`` term there must be checked against the messages before it.
+Optional inputs: a ``watermark``, which only the engine passes, narrows the
+search without changing its result.  It promises that no valid combination
+of messages with ``seq`` at or below it exists; on a delta alternative the
+same search then runs once per seed slot over the combinations holding a
+newer message, and the policy-least (or greatest) of their hits is the
+answer; their policy keys are built only once a second hit arrives.  Every
+seed is unified before its search, for the positions before it to probe
+with, and not again at its own unless a ``!name`` term there must be
+checked against the messages before it.
 """
 
 from __future__ import annotations
@@ -67,21 +68,21 @@ def evaluate_pattern(
     get_candidates,
     now: int,
     cycle: int = 0,
-    lookup=None,
     watermark: int | None = None,
 ) -> EvalOutcome:
     """Attempt one match for ``cp`` at time ``now``.
 
-    ``get_candidates(cons)`` yields the live messages of constituent
-    ``cons``'s slot in (ts, seq) ascending order: unconsumed candidates on a
-    positive slot, blockers on a negated one.  ``lookup(cons, key)``, when
-    given, yields a keyed slot's messages with that join key, in the same
-    order.  ``watermark``, when given with ``lookup``, restricts delta
-    alternatives to combinations that hold a message with a greater ``seq``.
-    At most one match is produced (single pattern selection).
+    ``get_candidates(cons, key=None)`` yields the live messages of
+    constituent ``cons``'s slot in (ts, seq) ascending order: unconsumed
+    candidates on a positive slot, blockers on a negated one.  Given a keyed
+    slot's join ``key``, it may yield any superset of the slot's messages
+    with that key, up to the whole slot.  ``watermark``, when given,
+    restricts delta alternatives to combinations that hold a message with a
+    greater ``seq``.  At most one match is produced (single pattern
+    selection).
     """
     for alt in cp.alternatives:
-        sel = _select(cp, alt, get_candidates, now, lookup, watermark)
+        sel = _select(cp, alt, get_candidates, now, watermark)
         if sel is None:
             continue
         groups, env = sel
@@ -117,7 +118,6 @@ def _select(
     alt: CompiledAlternative,
     get_candidates,
     now: int,
-    lookup,
     watermark: int | None,
 ) -> tuple | None:
     """The policy-selected pre-guard combination: (groups, env), where groups
@@ -125,8 +125,8 @@ def _select(
     ascending; or None when there is none."""
     groups: dict[int, tuple[Message, ...]] = {}
     used: set[int] = set()
-    fixed = (cp, alt, get_candidates, now, lookup, groups, used)
-    if watermark is None or lookup is None or not alt.delta:
+    fixed = (cp, alt, get_candidates, now, groups, used)
+    if watermark is None or not alt.delta:
         env = _search(fixed + (-1, None, None), 0, {}, {}, None, None, None)
         return None if env is None else (groups, env)
 
@@ -141,13 +141,11 @@ def _select(
         while first_new and cands[first_new - 1].seq > watermark:
             first_new -= 1
         for m in cands[first_new:]:
-            env = {}
-            if j:  # the positions before the seed probe with its bindings
-                r = extend_env(cons.bind_terms, m, env, {})
-                if r is None:
-                    continue
-                env = r[0]
-            hit = _search(fixed + (j, (m,), watermark), 0, env, {}, None, None, None)
+            # the positions before the seed probe with its bindings
+            r = extend_env(cons.bind_terms, m, {}, {})
+            if r is None:
+                continue
+            hit = _search(fixed + (j, (m,), watermark), 0, r[0], {}, None, None, None)
             if hit is None:
                 continue
             used.clear()
@@ -165,19 +163,18 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
     of the first complete combination, or None.  ``state`` is what stays
     fixed during one search; a delta search puts only its seed at position
     ``seed_at`` (-1 in a full search), and before it only messages at or
-    below ``watermark``; a seed after position 0 is already unified into
-    ``env``.  The last position checks the negations itself, and a failed
-    branch leaves its stale group behind for the next to overwrite."""
-    (cp, alt, get_candidates, now, lookup, groups, used,
-     seed_at, seed, watermark) = state
+    below ``watermark``; the seed is already unified into ``env``.  The
+    last position checks the negations itself, and a failed branch leaves
+    its stale group behind for the next to overwrite."""
+    cp, alt, get_candidates, now, groups, used, seed_at, seed, watermark = state
     positives = alt.positives
     cons = positives[i]
     final = i + 1 == len(positives)
     ordered = alt.ordered
     if i == seed_at:
         cands = seed
-    elif lookup is not None and (cons.probe_in_order or seed_at >= 0):
-        cands = lookup(cons, cons.probe_key(env))
+    elif cons.probe_in_order or seed_at >= 0:
+        cands = get_candidates(cons, cons.probe_key(env))
         if i < seed_at and cands and cands[-1].seq > watermark:  # buckets ascend in seq
             cands = [m for m in cands if m.seq <= watermark]
     else:
@@ -194,9 +191,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
                 return None
         groups[cons.cons_index] = group
         if final:
-            if alt.negatives and not _negations_ok(
-                alt, get_candidates, env, distinct, now, nmax, lookup
-            ):
+            if alt.negatives and not _negations_ok(alt, get_candidates, env, distinct, now, nmax):
                 return None
             return env
         used.update(m.id for m in group)
@@ -206,7 +201,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
         return hit
     bind_terms = cons.bind_terms
     # only a ``!name`` term can reject a seed already unified into env
-    unify = i != seed_at or not i or cons.must_distinct
+    unify = i != seed_at or cons.must_distinct
     for m in (reversed(cands) if cp.last else cands):
         if m.id in used:
             continue
@@ -218,9 +213,7 @@ def _search(state, i, env, distinct, prev_key, min_ts, max_ts):
             if not ok:
                 continue
         if final:
-            if alt.negatives and not _negations_ok(
-                alt, get_candidates, r[0], r[1], now, nmax, lookup
-            ):
+            if alt.negatives and not _negations_ok(alt, get_candidates, r[0], r[1], now, nmax):
                 continue
             groups[cons.cons_index] = (m,)
             return r[0]
@@ -238,12 +231,9 @@ def _order_ok(cp, members, prev_key, min_ts, max_ts):
     (ok, key of its last member, new min ts, new max ts)."""
     first = members[0]
     last = members[-1]
-    if cp.seq:
-        if prev_key is not None and (first.ts, first.seq) <= prev_key:
-            return _REJECT
-        for a, b in zip(members, members[1:]):
-            if (b.ts, b.seq) <= (a.ts, a.seq):
-                return _REJECT
+    # a group ascends in (ts, seq), so only its first member can be out of order
+    if cp.seq and prev_key is not None and (first.ts, first.seq) <= prev_key:
+        return _REJECT
     lo = first.ts if min_ts is None or first.ts < min_ts else min_ts
     hi = last.ts if max_ts is None or last.ts > max_ts else max_ts
     if cp.interval_ms is not None and hi - lo > cp.interval_ms:
@@ -263,8 +253,9 @@ def _build_group(
 
     Candidates consistent with the environment are accepted in policy order
     until the count target is reached (count / hybrid) or the window is
-    exhausted (pure window).  Hybrid below target falls back to the window
-    contents only when a guard or transformer is present to arbitrate."""
+    exhausted (pure window).  A group smaller than the slot's ``min_group``
+    fails: hybrid below target falls back to the window contents only when a
+    guard or transformer is present to arbitrate."""
     count_n = cons.count_n
     bind_terms = cons.bind_terms
     acc: list[Message] = []
@@ -278,25 +269,18 @@ def _build_group(
         acc.append(m)
         if len(acc) == count_n:
             break
-    if count_n is not None and len(acc) < count_n:
-        window_arbitrated = cons.transformers is not None or cp.guard is not None
-        if cons.window_ms is None or not window_arbitrated or not acc:
-            return None
-    if not acc:
+    if len(acc) < cons.min_group:
         return None
     return tuple(sorted(acc, key=_TS_SEQ)), env, distinct
 
 
-def _negations_ok(alt, get_candidates, env, distinct, now, max_ts, lookup) -> bool:
+def _negations_ok(alt, get_candidates, env, distinct, now, max_ts) -> bool:
     for cons in alt.negatives:
         w = cons.window_ms
         if w is not None and now < max_ts + w:
             return False  # the absence window has not fully elapsed yet
-        if lookup is not None and cons.join_key:
-            blockers = lookup(cons, cons.probe_key(env))
-        else:
-            blockers = get_candidates(cons)
-        for m in blockers:
+        probe = cons.probe_key
+        for m in get_candidates(cons, None if probe is None else probe(env)):
             if extend_env(cons.bind_terms, m, env, distinct) is not None:
                 return False
     return True

@@ -79,9 +79,10 @@ A match consumes each of its messages, by type, from the routed positive
 slots of its pattern in every alternative: a per-pattern map from type name
 to those slots, filled as each is first routed, leads only to them.
 
-One pair of slot views, built with the Network, serves every pattern: each
-addresses a slot by its constituent, picks the store by ``negated`` and cuts
-to the settled prefix by ``settle_ms``.  The views read the clock from a
+One slot view, built with the Network, serves every pattern: it addresses a
+slot by its constituent, reads the index bucket of a join key when the
+search passes one and else the store ``negated`` picks, and cuts to the
+settled prefix by ``settle_ms``.  The view reads the clock from a
 one-element list, not from the Network, so a Network holds no reference
 cycle and reference counting frees it.
 
@@ -115,10 +116,8 @@ _SEQ = attrgetter("seq")
 class Network:
     def __init__(self, compiled: CompiledProgram, lifetime_ms: int | None = None):
         self.cp = compiled
-        self.lifetime_ms = lifetime_ms
         self.clock = 0
         self.cycle = 0
-        self.next_ingest = 1
         self.last_seq = 0
         self.diagnostics: list[Diagnostic] = []
         # per (pattern, alternative, constituent) message lists, (ts, seq) ascending
@@ -148,9 +147,9 @@ class Network:
         self._diagnosed: list[bool] = [False] * len(compiled.patterns)
         # per pattern: whether every alternative is delta (see _eval_pass)
         self._all_delta = [all(a.delta for a in p.alternatives) for p in compiled.patterns]
-        # [the clock of the current evaluation], for the slot views
+        # [the clock of the current evaluation], for the slot view
         self._now = [0]
-        self._views = _slot_views(self.buffers, self.blockers, self.index, self._now)
+        self._view = _slot_view(self.buffers, self.blockers, self.index, self._now)
         # per routed alpha node (by id): its _route_plan, built on the node's
         # first message
         self._routes: dict[int, tuple] = {}
@@ -166,12 +165,12 @@ class Network:
         """Build a message with the next id/seq and run its match-cycle."""
         if ts < self.clock:
             raise TimeRegression(ts, self.clock)
-        n = self.next_ingest
-        self.next_ingest = n + 1
+        n = self.last_seq + 1
         msg = Message(n, n, ts, type_tag, tuple(attrs))  # id, seq, ts, type_tag, attrs
         timers = self._timers
         results = self._run_timers(ts) if timers and timers[0][0] <= ts else []
         self.clock = ts
+        # only now: a timer cycle's watermark must not cover the new message
         self.last_seq = n
         self._route(msg)
         results.extend(self._eval_pass())
@@ -292,7 +291,7 @@ class Network:
         if not agenda:
             return out
         patterns = self.cp.patterns
-        get_candidates, lookup = self._views
+        get_candidates = self._view
         buffers = self.buffers
         index = self.index
         for p_idx in sorted(agenda) if len(agenda) > 1 else list(agenda):
@@ -324,9 +323,7 @@ class Network:
                 agenda.discard(p_idx)
                 continue
 
-            outcome = evaluate_pattern(
-                cp, get_candidates, now, self.cycle, lookup, watermark[p_idx]
-            )
+            outcome = evaluate_pattern(cp, get_candidates, now, self.cycle, watermark[p_idx])
             # a match keeps the pattern on the agenda
             if outcome.result is not None:
                 self._consume(cp, outcome.result)
@@ -369,17 +366,17 @@ class Network:
     # -- garbage collection -----------------------------------------------------
 
     def gc(self, now: int) -> int:
-        """Drop every buffered message past its lifetime or retention bound.
+        """Drop every buffered message its slot's death age makes dead at
+        ``now``.
 
         Returns the number of distinct messages removed.  Idempotent at a
         fixed ``now``."""
         removed: set[int] = set()
-        for slot, (buf, keys, key_of, _, _) in self._slots.items():
-            bound = self._bounds[buf[0].type_tag.name] if buf else None
-            if bound is None:
+        for slot, (buf, keys, key_of, death, _) in self._slots.items():
+            if death is None or not buf:
                 continue
             # a message only dies with age: the dead ones are a prefix
-            drop = bisect_left(buf, now - bound, key=_TS)
+            drop = bisect_right(buf, now - death, key=_TS)
             if drop:
                 removed.update(m.id for m in buf[:drop])
                 _drop_heads(buf, drop, keys, key_of)
@@ -430,26 +427,25 @@ def _partnered_arrival(alt, buffers, index, watermark: int) -> bool:
     return False
 
 
-def _slot_views(buffers, blockers, index, clock):
-    """The decision procedure's view of every slot at ``clock[0]``:
-    (get_candidates, lookup), each addressing a slot by its constituent.
+def _slot_view(buffers, blockers, index, clock):
+    """The decision procedure's view of every slot at ``clock[0]``,
+    ``get_candidates(cons, key=None)``, addressing a slot by its constituent:
+    the slot's store, or the index bucket of its join ``key`` when given.
 
-    They read the slots as they are: a cycle drops every dead message before
+    It reads the slots as they are: a cycle drops every dead message before
     it evaluates.  A plain positive beside windowed negatives yields only its
     messages at least ``settle_ms`` old, the only ones that can join a valid
     combination yet; a negated slot has no ``settle_ms``."""
 
-    def get_candidates(cons):
-        buf = (blockers if cons.negated else buffers).get(cons.slot, _EMPTY)
+    def get_candidates(cons, key=None):
+        if key is None:
+            msgs = (blockers if cons.negated else buffers).get(cons.slot, _EMPTY)
+        else:
+            msgs = index.get(cons.slot, _NO_INDEX).get(key, _EMPTY)
         settle = cons.settle_ms
-        return buf if settle is None or not buf else _settled(buf, clock[0] - settle)
+        return msgs if settle is None or not msgs else _settled(msgs, clock[0] - settle)
 
-    def lookup(cons, key):
-        bucket = index.get(cons.slot, _NO_INDEX).get(key, _EMPTY)
-        settle = cons.settle_ms
-        return bucket if settle is None else _settled(bucket, clock[0] - settle)
-
-    return get_candidates, lookup
+    return get_candidates
 
 
 def _settled(msgs: list[Message], upto: int) -> list[Message]:

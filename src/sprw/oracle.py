@@ -123,7 +123,7 @@ def oracle_run(
         nonlocal cycle
         cycle += 1
 
-        def get_candidates(cons):
+        def get_candidates(cons, key=None):  # every live message, whatever the key
             slot = cons.slot
             return live_slice(slot, now, None if cons.negated else consumed[slot[0]])
 

@@ -84,8 +84,6 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
                 obj = json.loads(raw)
             except json.JSONDecodeError as err:
                 raise TraceError(f"invalid JSON: {err.msg}", lineno) from None
-            except RecursionError:
-                raise TraceError("invalid JSON: nested too deeply", lineno) from None
         if type(obj) is not dict:
             raise TraceError("trace line must be a JSON object", lineno)
         if "advance" in obj:

@@ -242,7 +242,9 @@ def test_criterion_6_selection_extremality():
                     ts += rng.randint(0, 3000)
                     buf.append(Message(mid, mid, ts, Symbol(tag), (rng.randint(1, 2),)))
                 buffers[c_idx] = buf
-            outcome = evaluate_pattern(cp, lambda cons: buffers.get(cons.cons_index, []), 20_000)
+            outcome = evaluate_pattern(
+                cp, lambda cons, key=None: buffers.get(cons.cons_index, []), 20_000
+            )
             got = tuple(outcome.result.messages) if outcome.result else None
 
             pools = [buffers.get(c.cons_index, []) for c in cp.alternatives[0].positives]

@@ -161,6 +161,49 @@ def test_rebinding_inside_a_reaction_is_deferred_to_step_end():
     assert seen[2:] == ["rebinder", "late", "late"]
 
 
+def test_unbinding_inside_a_reaction_is_deferred_to_step_end():
+    cell = spawn(OPEN_WINDOW)
+    seen = []
+
+    def unbinder(msgs, inter, state):
+        if "unbinder" not in seen:
+            remove(cell, "logger", "open_window")
+        seen.append("unbinder")
+        return state
+
+    react_to(cell, "open_window", "unbinder", unbinder)
+    react_to(cell, "open_window", "logger", lambda m, i, s: seen.append("logger") or s)
+    deliver(cell, "window", ("w1", Symbol("open"), Symbol("kitchen")), 0)
+    deliver(cell, "window", ("w2", Symbol("open"), Symbol("kitchen")), 0)
+    step(cell, 0)
+    # the removed reaction still runs for every match of this step
+    assert seen == ["unbinder", "logger", "unbinder", "logger"]
+    deliver(cell, "window", ("w3", Symbol("open"), Symbol("kitchen")), 10)
+    step(cell, 10)
+    assert seen[4:] == ["unbinder"]
+
+
+def test_clearing_reactions_inside_a_reaction_is_deferred_to_step_end():
+    cell = spawn(OPEN_WINDOW)
+    seen = []
+
+    def clearer(msgs, inter, state):
+        remove_reactions(cell, "open_window")
+        seen.append(msgs[0].attrs[0])
+        return state
+
+    react_to(cell, "open_window", "clearer", clearer)
+    deliver(cell, "window", ("w1", Symbol("open"), Symbol("kitchen")), 0)
+    deliver(cell, "window", ("w2", Symbol("open"), Symbol("kitchen")), 0)
+    step(cell, 0)
+    assert seen == ["w1", "w2"]
+    assert cell.outputs == []
+    deliver(cell, "window", ("w3", Symbol("open"), Symbol("kitchen")), 10)
+    assert step(cell, 10) == []
+    assert seen == ["w1", "w2"]
+    assert [r["reaction"] for r in cell.outputs] == [None]  # no reaction bound
+
+
 def test_scenario5_actor_fires_both_scenes():
     cell = spawn(corpus_text("fig18c"))
     sequence = [

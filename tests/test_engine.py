@@ -102,6 +102,20 @@ class TestInsert:
         with pytest.raises(TimeRegression):
             feed(net, "a", (1,), 50)
 
+    def test_advance_time_regression(self):
+        net = build("pattern p as {:a, x}")
+        net.advance_time(100)
+        with pytest.raises(TimeRegression):
+            net.advance_time(50)
+
+    def test_a_message_of_no_selector_arity_is_routed_nowhere(self):
+        compiled = compile_program(expand(parse_program("pattern p as {:a, x}")))
+        trace = [MessageEvent(0, Symbol("a"), (1, 2)), MessageEvent(1, Symbol("a"), ())]
+        diff = differential(compiled, trace)
+        assert diff.divergence() == ""
+        assert diff.engine_records == diff.oracle_records == []
+        assert diff.network.buffered_total() == 0
+
     def test_multiple_patterns_consume_same_message(self):
         net = build("pattern p as {:a, x}\npattern q as {:a, x}")
         results = feed(net, "a", (7,), 0)
@@ -232,6 +246,29 @@ class TestAgenda:
         for i in range(2_000):
             feed(net, "a", (i,), 10 * i)
         assert net.buffered_total() <= live
+
+
+class TestGuardTypes:
+    """A guard runs on values of any type; a wrong one is a diagnostic,
+    reported once per episode, by the engine as by the oracle."""
+
+    @pytest.mark.parametrize("guard, value, fires, kinds", [
+        ("not x", False, True, []),
+        ("not x", 1, False, ["TypeMismatch"]),
+        ("x and true", 1, False, ["TypeMismatch"]),
+        ("true and x", 1, False, ["TypeMismatch"]),
+        ("x or true", 1, False, ["TypeMismatch"]),
+        ("false or x", 1, False, ["TypeMismatch"]),
+        ("x + 1 > 0", Symbol("s"), False, ["TypeMismatch"]),
+        ("x", 1, False, ["TypeMismatch"]),
+    ])
+    def test_guard_value_types(self, guard, value, fires, kinds):
+        compiled = compile_program(expand(parse_program(f"pattern p as {{:a, x}} when {guard}")))
+        trace = [MessageEvent(0, Symbol("a"), (value,)), MessageEvent(1, Symbol("a"), (value,))]
+        diff = differential(compiled, trace)
+        assert diff.divergence() == ""
+        assert len(diff.engine_matches) == (2 if fires else 0)
+        assert [d.kind for d in diff.network.diagnostics] == kinds
 
 
 class TestAdvanceTime:

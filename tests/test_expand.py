@@ -3,10 +3,29 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from sprw.errors import ExpandError
+from sprw.compile import compile_program
+from sprw.errors import CodedError, ExpandError
 from sprw.expand import expand
-from sprw.nodes import Const, MayDistinct, Selector, Var, body_leaves
+from sprw.fuzz import differential
+from sprw.nodes import (
+    Bind,
+    Const,
+    ElemPattern,
+    Fold,
+    FoldFn,
+    Lit,
+    MayDistinct,
+    NamedRef,
+    PatternAst,
+    Program,
+    Selector,
+    Var,
+    VarRef,
+    body_leaves,
+)
 from sprw.parser import parse_program
+from sprw.printer import pattern_text
+from sprw.tracefile import MessageEvent
 from sprw.values import Symbol
 
 from conftest import corpus_text
@@ -171,3 +190,68 @@ def test_leaf_count_sums_over_references():
         "pattern big as pair and pair and {:c, y}\n"
     )
     assert len(leaves_of(program, "big")) == 5
+
+
+WINDOWED = "pattern w as {:a, v, u}[window: {1, :secs}]\n"
+COMPOSITE = "pattern c as {:x, v} and {:y, v}\n"
+OR_PAIRS = "".join(f"pattern r{i} as {{:a{i}, x}} or {{:b{i}, x}}\n" for i in range(10))
+
+
+@pytest.mark.parametrize("source, code, expanded", [
+    ("pattern n as not {:x, v}\npattern p as {:y, v} and not n", "NegatedNegation", True),
+    (WINDOWED + "pattern p as w[window: {2, :secs}]", "DuplicateOperator", True),
+    (COMPOSITE + "pattern p as c[count: 2]", "OperatorsOnCompositeRef", True),
+    (COMPOSITE + "pattern p as c |> fold(0, fn({_, v}, acc) -> acc + v end)",
+     "TransformersOnCompositeRef", True),
+    (WINDOWED + "pattern p as w{nope ~> z}", "RefinementUnknownVar", True),
+    (WINDOWED + "pattern p as w{!nope}", "RefinementUnknownVar", True),
+    (WINDOWED + "pattern p as w{v = u}", "InlineGuardNotConst", True),
+    (WINDOWED + "pattern p as w{v = not 1}", "InlineGuardNotConst", True),
+    ("pattern p as {:a, x} and not {:b, y}[window: {1, :secs}]"
+     " |> fold(0, fn({_}, acc) -> acc + 1 end)", "TransformersOnNegated", True),
+    ("pattern a as {:x, v}\npattern b as a and {:y, v}", "UnexpandedRef", False),
+    # 1,024 alternatives from the product, then one more from the sum
+    (OR_PAIRS + "pattern p as " + " and ".join(f"r{i}" for i in range(10))
+     + "\npattern big as p or {:z, x}", "DnfTooLarge", True),
+])
+def test_front_end_rejects(source, code, expanded):
+    program = parse_program(source)
+    with pytest.raises(CodedError) as err:
+        compile_program(expand(program) if expanded else program)
+    assert err.value.code == code
+
+
+def test_inline_guard_negates_a_boolean_literal():
+    program = expand_text("pattern w as {:a, v, u}\npattern p as w{v = not true}")
+    (leaf,) = leaves_of(program, "p")
+    assert leaf.base.terms == (Const(False), Var("u"))
+
+
+def test_bind_before_fold_through_a_reference():
+    # the parser rejects this order, so the program is built by hand
+    fold = Fold(Lit(0), FoldFn((None, None), "acc", VarRef("acc")))
+    program = Program((
+        PatternAst("w", ElemPattern(False, Selector(Symbol("a"), (Var("v"),)))),
+        PatternAst("p", ElemPattern(False, NamedRef("w"), (), (Bind("t"), fold))),
+    ), ())
+    with pytest.raises(ExpandError) as err:
+        expand(program)
+    assert err.value.code == "BindWithoutFold"
+
+
+GUARDED = "pattern a as {:x, v} when v > 1\npattern b as a and {:y, v} when v < 5\n"
+
+
+def test_a_referenced_guard_is_conjoined_with_the_own_guard():
+    program = expand_text(GUARDED)
+    assert pattern_text(program.pattern_named("b")) == (
+        "pattern b as {:x, v} and {:y, v} when v > 1 and v < 5"
+    )
+
+
+@pytest.mark.parametrize("v, fired", [(3, ["a", "b"]), (1, []), (7, ["a"])])
+def test_conjoined_guard_fires_as_the_oracle_does(v, fired):
+    trace = [MessageEvent(0, Symbol("x"), (v,)), MessageEvent(1, Symbol("y"), (v,))]
+    diff = differential(compile_program(expand_text(GUARDED)), trace)
+    assert diff.divergence() == ""
+    assert [m.pattern for m in diff.engine_matches] == fired

@@ -500,10 +500,10 @@ def test_gc_keeps_the_watermark(monkeypatch):
     full_searches = []
     evaluate = sprw.engine.evaluate_pattern
 
-    def recording(cp, get_candidates, now, cycle, lookup, watermark):
+    def recording(cp, get_candidates, now, cycle, watermark):
         if watermark is None:
             full_searches.append((cp.name, now))
-        return evaluate(cp, get_candidates, now, cycle, lookup, watermark)
+        return evaluate(cp, get_candidates, now, cycle, watermark)
 
     monkeypatch.setattr(sprw.engine, "evaluate_pattern", recording)
     net = Network(compiled)
@@ -521,3 +521,19 @@ def test_gc_keeps_the_watermark(monkeypatch):
     plain, _ = replay_trace(compiled, events)
     assert len(matches) == 19
     assert [(m.at, m.messages) for m in matches] == [(m.at, m.messages) for m in plain]
+
+
+def test_index_mismatch_reports_a_stale_bucket_and_an_unkeyed_index():
+    net = Network(compile_program(expand(parse_program(
+        "pattern pair as {:a, x} and {:b, x}\npattern one as {:c, y}"
+    ))))
+    for tag, key in [("a", 1), ("b", 2), ("c", 1)]:
+        net.ingest(Symbol(tag), (key,), 0)
+    assert index_mismatch(net) == ""
+    keyed = (0, 0, 0)
+    net.buffers[keyed].clear()  # the bucket of key 1 still holds a(1)
+    assert index_mismatch(net) == f"index of slot {keyed} differs from its buffer grouped by key"
+    net.index[keyed].clear()
+    assert index_mismatch(net) == ""
+    net.index[(1, 0, 0)] = {}
+    assert index_mismatch(net) == "unkeyed slot (1, 0, 0) has an index"

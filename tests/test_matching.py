@@ -206,7 +206,7 @@ def compiled_pattern(text):
 def run_selection(cp, buffers, now, blockers=None):
     slots = {**buffers, **(blockers or {})}  # keyed by cons_index
 
-    def get_candidates(cons):
+    def get_candidates(cons, key=None):
         return slots.get(cons.cons_index, [])
 
     return evaluate_pattern(cp, get_candidates, now)
